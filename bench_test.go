@@ -311,10 +311,7 @@ func BenchmarkEngineStep(b *testing.B) {
 // measures cold-path throughput; this one isolates the steady state.)
 func BenchmarkEngineSteadyState(b *testing.B) {
 	s := grid.New(3, 16)
-	pool := engine.NewPool(0)
-	defer pool.Close()
 	net := engine.New(s)
-	net.Pool = pool
 	prob := perm.Random(s, xmath.NewRNG(3))
 	pkts := make([]*engine.Packet, prob.Size())
 	var pol engine.Policy = route.NewGreedy(s)
@@ -366,10 +363,7 @@ func BenchmarkLadderGreedyRoute(b *testing.B) {
 				b.Skipf("n=%d rung skipped in -short mode", side)
 			}
 			s := grid.New(3, side)
-			pool := engine.NewPool(0)
-			defer pool.Close()
 			net := engine.New(s)
-			net.Pool = pool
 			prob := perm.Random(s, xmath.NewRNG(3))
 			pkts := make([]*engine.Packet, prob.Size())
 			var pol engine.Policy = route.NewGreedy(s)
@@ -467,10 +461,7 @@ func BenchmarkLadderSimpleSort(b *testing.B) {
 // `-benchmem` must report 0 allocs/op.
 func BenchmarkCliqueGreedyRoute(b *testing.B) {
 	c := topo.NewClique(512)
-	pool := engine.NewPool(0)
-	defer pool.Close()
 	net := engine.NewNet(c)
-	net.Pool = pool
 	const k = 4
 	prob := perm.RandomRanksK(c.N(), k, xmath.NewRNG(3))
 	pkts := make([]*engine.Packet, prob.Size())
@@ -564,10 +555,7 @@ func BenchmarkLadderKKSort(b *testing.B) {
 // accounting ride the batch path's zero-allocation contract.
 func BenchmarkTimedKKRoute(b *testing.B) {
 	s := grid.New(3, 16)
-	pool := engine.NewPool(0)
-	defer pool.Close()
 	net := engine.New(s)
-	net.Pool = pool
 	load := traffic.Load{Demand: traffic.KRelation, K: 2, Seed: 3}
 	sched := traffic.Schedule{Arrival: traffic.Trickle, Rate: 2}
 	pairs, err := load.Pairs(s.N())

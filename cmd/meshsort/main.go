@@ -74,8 +74,7 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "random seed")
 		real   = flag.Bool("real", false, "simulate local sorts in-mesh (shearsort) instead of charging the cost model")
 		alt    = flag.Bool("alt", false, "use the bias-corrected destination estimator (ablation E13)")
-		work   = flag.Int("workers", 0, "engine shard workers (0 = GOMAXPROCS)")
-		sshift = flag.Int("shard-shift", 0, "log2 processors per engine shard (0 = auto; clamped to [4,16])")
+		work   = flag.Int("workers", 0, "local-phase block workers (0 = GOMAXPROCS); routing runs on one goroutine")
 		pperm  = flag.String("perm", "random", "permutation for routing algorithms: random|reversal|transpose|hotspot")
 		load   = flag.String("load", "", "traffic demand for -alg traffic: perm|k:<k>|lk:l=<l>,k=<k>|hotspot:frac=<f>,targets=<t>|partial:frac=<f> (\"\" = perm)")
 		inject = flag.String("inject", "", "arrival schedule for -alg traffic: batch|window:<span>|trickle:<rate> (\"\" = batch)")
@@ -128,7 +127,7 @@ func main() {
 		fail(fmt.Errorf("-load and -inject apply to -alg traffic only"))
 	}
 
-	// One persistent worker pool serves every routing phase of the run.
+	// One persistent worker pool serves every local phase of the run.
 	pool := engine.NewPool(*work)
 	defer pool.Close()
 	var obs pipeline.Observer
@@ -151,7 +150,7 @@ func main() {
 
 	if clique {
 		runCliqueRoute(*n, max(1, *k), *seed, *faults, *fseed, *jsonOut, route.BatchOpts{
-			Workers: *work, ShardShift: *sshift, Pool: pool,
+			Pool:     pool,
 			Patience: *patience, Paranoid: *paranoid, Observer: obs,
 		})
 		return
@@ -168,8 +167,7 @@ func main() {
 		fo.Faults = engine.RandomFaultPlan(shape, *faults, *fseed)
 	}
 	cfg := core.Config{Shape: shape, BlockSide: *b, K: *k, Seed: *seed,
-		RealLocalSort: *real, AltEstimator: *alt, Workers: *work, ShardShift: *sshift,
-		Pool: pool, Observer: obs, FaultOpts: fo}
+		RealLocalSort: *real, AltEstimator: *alt, Pool: pool, Observer: obs, FaultOpts: fo}
 	keys := core.RandomKeys(shape, max(1, *k), *seed+1)
 	D := shape.Diameter()
 	if !*jsonOut {
@@ -212,7 +210,7 @@ func main() {
 		fmt.Printf("odd-even transposition: %d rounds (= steps), sorted=%v, %.2f x diameter\n",
 			res.Rounds, res.Sorted, float64(res.Rounds)/float64(D))
 	case "shear":
-		res, err := baseline.ShearSort(shape, keys, baseline.ShearSortOpts{Workers: *work, ShardShift: *sshift, Pool: pool, Observer: obs})
+		res, err := baseline.ShearSort(shape, keys, baseline.ShearSortOpts{Pool: pool, Observer: obs})
 		fail(err)
 		if *jsonOut {
 			emitJSON(service.Result{Algorithm: "shearsort", Shape: shape.String(),
@@ -226,7 +224,7 @@ func main() {
 	case "route":
 		prob := pickPerm(*pperm, shape, *seed)
 		res, err := core.TwoPhaseRoute(core.RouteConfig{Shape: shape, BlockSide: *b, Seed: *seed,
-			Workers: *work, ShardShift: *sshift, Pool: pool, Observer: obs, FaultOpts: fo}, prob)
+			Pool: pool, Observer: obs, FaultOpts: fo}, prob)
 		fail(err)
 		if *jsonOut {
 			emitJSON(service.FromRouteAlg(res, shape))
@@ -262,7 +260,7 @@ func main() {
 			fail(fmt.Errorf("unknown policy %q (greedy|dimorder)", *policy))
 		}
 		res, net, err := route.RunProblem(shape, prob, route.BatchOpts{
-			Mode: cm, BlockSide: *b, Seed: *seed, Workers: *work, ShardShift: *sshift, Pool: pool,
+			Mode: cm, BlockSide: *b, Seed: *seed, Pool: pool,
 			Faults: fo.Faults, Patience: fo.Patience, Paranoid: fo.Paranoid,
 			CountLoads: *heat, Observer: obs, Policy: pol,
 		})
@@ -301,7 +299,7 @@ func main() {
 		sc.Seed = *seed + 1
 		runner := pipeline.New(pipeline.Config{Shape: shape, Pool: pool})
 		res, net, err := route.RunTimedLoad(topo.FromShape(shape), ld, sc, route.BatchOpts{
-			Workers: *work, ShardShift: *sshift, Pool: pool,
+			Pool:   pool,
 			Faults: fo.Faults, Patience: fo.Patience, Paranoid: fo.Paranoid,
 			Observer: obs, Runner: runner,
 		})

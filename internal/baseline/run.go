@@ -11,13 +11,9 @@ import (
 
 // ShearSortOpts configures a standalone ShearSort run.
 type ShearSortOpts struct {
-	Workers int // engine shard workers; 0 means GOMAXPROCS
-	// ShardShift overrides the engine's shard sizing (log2 processors
-	// per shard; 0 means automatic, see engine.Net.ShardShift).
-	ShardShift int
 	// Pool optionally supplies a persistent engine worker pool shared
-	// with other runs (the same pool SimpleSort's routing phases use),
-	// so baseline-vs-SimpleSort comparisons pay identical pool costs.
+	// with other runs (the same pool SimpleSort's local phases use), so
+	// baseline-vs-SimpleSort comparisons run on identical pools.
 	Pool *engine.Pool
 	// Observer, if set, receives the run's PhaseStat when it completes.
 	Observer pipeline.Observer
@@ -46,11 +42,9 @@ func ShearSort(s grid.Shape, keys []int64, opts ShearSortOpts) (ShearSortResult,
 	}
 	res := ShearSortResult{Diameter: s.Diameter()}
 	runner := pipeline.New(pipeline.Config{
-		Shape:      s,
-		Workers:    opts.Workers,
-		ShardShift: opts.ShardShift,
-		Pool:       opts.Pool,
-		Observer:   opts.Observer,
+		Shape:    s,
+		Pool:     opts.Pool,
+		Observer: opts.Observer,
 	})
 	if _, err := runner.InjectKeys(1, keys); err != nil {
 		return res, err

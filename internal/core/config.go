@@ -132,17 +132,12 @@ type Config struct {
 	// unchanged (the cleanup still fixes any estimate).
 	AltEstimator bool
 
-	Seed    uint64
-	Workers int // engine shard workers; 0 means GOMAXPROCS
-	// ShardShift overrides the engine's shard sizing (log2 processors per
-	// shard; 0 means automatic, see engine.Net.ShardShift). Exposed for
-	// benchmarking shard-size sensitivity (cmd/meshsort -shard-shift).
-	ShardShift int
+	Seed uint64
 
-	// Pool optionally supplies a persistent engine worker pool shared by
-	// every routing phase of the run (and by other runs using the same
-	// pool). The caller owns its lifecycle. Nil means the engine manages
-	// a transient pool per phase, sized by Workers.
+	// Pool optionally supplies a persistent engine worker pool that the
+	// run's local phases fan their blocks across (and that other runs may
+	// share). Routing phases run on the caller's goroutine. The caller
+	// owns its lifecycle. Nil means local phases run serially.
 	Pool *engine.Pool
 
 	// Runner optionally supplies a warm pipeline runner to execute on
@@ -177,13 +172,11 @@ func (c Config) runner() *pipeline.Runner {
 // allocating one per run.
 func (c Config) runnerWith(policy engine.Policy) *pipeline.Runner {
 	pcfg := pipeline.Config{
-		Shape:      c.Shape,
-		Workers:    c.Workers,
-		ShardShift: c.ShardShift,
-		Pool:       c.Pool,
-		Policy:     policy,
-		Route:      c.RouteOpts(),
-		Observer:   c.Observer,
+		Shape:    c.Shape,
+		Pool:     c.Pool,
+		Policy:   policy,
+		Route:    c.RouteOpts(),
+		Observer: c.Observer,
 	}
 	if c.Runner != nil {
 		c.Runner.Reset(pcfg)

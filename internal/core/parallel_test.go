@@ -25,15 +25,11 @@ func phaseFingerprint(res Result) string {
 }
 
 // TestLocalPhasesDeterministicAcrossWorkers pins the determinism contract
-// of the parallel local phases and the fused engine step: a full sort run
-// must produce byte-identical final keys and phase statistics at every
-// pool size. Pool size 1 routes through the engine's fused single-worker
-// step, sizes 2 and 7 through the two-phase send/deliver path with block
-// work fanned across the pool by work-stealing — so the test certifies
-// both that the two engine paths are step-equivalent and that no local
-// phase leaks worker-count or visit-order dependence into its output.
-// ShardShift is forced to 6 so the n=8 mesh (N=512) still builds the
-// moving bitmap (shards of 64), which the fused path is gated on. Each
+// of the parallel local phases: a full sort run must produce
+// byte-identical final keys and phase statistics at every pool size.
+// Pool size 1 runs the block work serially, sizes 2 and 7 fan it across
+// the pool by work-stealing — so the test certifies that no local phase
+// leaks worker-count or visit-order dependence into its output. Each
 // configuration runs twice on a warm runner, so the steady-state re-run
 // path is held to the same byte-identical standard as the cold one.
 func TestLocalPhasesDeterministicAcrossWorkers(t *testing.T) {
@@ -55,7 +51,7 @@ func TestLocalPhasesDeterministicAcrossWorkers(t *testing.T) {
 				runner := pipeline.New(pipeline.Config{Shape: shape, Pool: pool})
 				cfg := Config{
 					Shape: shape, BlockSide: 4, Seed: 5,
-					ShardShift: 6, Pool: pool, Runner: runner,
+					Pool: pool, Runner: runner,
 				}
 				for pass := 0; pass < 2; pass++ {
 					res, err := alg.run(cfg, keys)
@@ -96,8 +92,8 @@ func TestLocalPhasesDeterministicAcrossWorkers(t *testing.T) {
 // re-run of the same configuration — injection, local sorts, both
 // routing phases, the cleanup loop, the sortedness certificate, and
 // final-key extraction — performs zero heap allocations. Covers both
-// RunBlocks dispatch modes: a 1-worker pool (serial, the fused engine
-// path) and a 2-worker pool (parallel work-stealing dispatch).
+// RunBlocks dispatch modes: a 1-worker pool (serial) and a 2-worker pool
+// (parallel work-stealing dispatch).
 func TestWarmSimpleSortDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")

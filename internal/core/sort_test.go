@@ -320,8 +320,10 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	if r1.TotalSteps != r2.TotalSteps || r1.RouteSteps != r2.RouteSteps || r1.MaxQueue != r2.MaxQueue {
 		t.Error("SimpleSort is not deterministic")
 	}
-	// And independent of worker count.
-	cfg.Workers = 1
+	// And independent of the local-phase pool size.
+	pool := engine.NewPool(1)
+	defer pool.Close()
+	cfg.Pool = pool
 	r3, err := SimpleSort(cfg, keys)
 	if err != nil {
 		t.Fatal(err)

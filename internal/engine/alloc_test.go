@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"meshsort/internal/grid"
@@ -21,9 +23,6 @@ func TestWarmRouteDoesNotAllocate(t *testing.T) {
 	}
 	s := grid.New(3, 8)
 	net := New(s)
-	pool := NewPool(2)
-	defer pool.Close()
-	net.Pool = pool
 
 	rng := xmath.NewRNG(5)
 	dsts := rng.Perm(s.N())
@@ -62,9 +61,6 @@ func TestWarmRouteDoesNotAllocateLargeRung(t *testing.T) {
 	}
 	s := grid.New(3, 32)
 	net := New(s)
-	pool := NewPool(2)
-	defer pool.Close()
-	net.Pool = pool
 
 	rng := xmath.NewRNG(17)
 	dsts := rng.Perm(s.N())
@@ -101,9 +97,6 @@ func TestWarmTimedRouteDoesNotAllocate(t *testing.T) {
 	}
 	s := grid.New(3, 8)
 	net := New(s)
-	pool := NewPool(2)
-	defer pool.Close()
-	net.Pool = pool
 
 	rng := xmath.NewRNG(23)
 	srcs := make([]int, s.N())
@@ -141,17 +134,15 @@ func TestWarmTimedRouteDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestWarmRouteDoesNotAllocateSingleWorker covers the inline fast path
-// (workers == 1, no pool barrier) with the same guard.
+// TestWarmRouteDoesNotAllocateSingleWorker extends the guard to the
+// torus wrap arithmetic. Every route runs on its caller's single
+// goroutine; the guard for routes running in parallel is the next test.
 func TestWarmRouteDoesNotAllocateSingleWorker(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
 	s := grid.NewTorus(2, 8)
 	net := New(s)
-	pool := NewPool(1)
-	defer pool.Close()
-	net.Pool = pool
 
 	rng := xmath.NewRNG(9)
 	dsts := rng.Perm(s.N())
@@ -173,5 +164,83 @@ func TestWarmRouteDoesNotAllocateSingleWorker(t *testing.T) {
 	run()
 	if avg := testing.AllocsPerRun(10, run); avg != 0 {
 		t.Fatalf("warm single-worker route allocated %.1f times per run, want 0", avg)
+	}
+}
+
+// TestWarmRoutesInParallelDoNotAllocate holds the zero-allocation
+// contract under real parallelism, which testing.AllocsPerRun cannot (it
+// pins GOMAXPROCS to 1). At GOMAXPROCS=2 two workers route two warm d=3
+// n=16 networks at once — the meshsortd shape, one network per runner —
+// and the heap must not grow by a single byte over 50 greedy routes,
+// read from runtime.MemStats across both goroutines.
+//
+// The workers hand off through spinning atomics rather than a Pool or a
+// WaitGroup: a goroutine that parks on a channel or semaphore takes a
+// 96-byte runtime wait record from a per-P cache that every GC empties,
+// so a parked hand-off allocates now and then at GOMAXPROCS >= 2 (the
+// source of the stray 3–182 B/op once read off -cpu 2 benchmark runs).
+// That is the runtime's allocation, not the engine's. So is the other
+// one the runtime makes here: Route's per-phase policy type assertions
+// go through call-site caches that the runtime rebuilds (48 bytes) at a
+// random one-in-1024 of the calls until the policy's type is cached.
+// Each worker therefore first runs a few thousand empty phases, which
+// cost a type assertion each and settle those caches for good.
+func TestWarmRoutesInParallelDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := grid.New(3, 16)
+	var pol Policy = certifiedGreedy{greedyTestPolicy{s}}
+	const workers, routesPerWorker = 2, 25
+	var start, done atomic.Int32
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		net := New(s)
+		dsts := xmath.NewRNG(uint64(31 + w)).Perm(s.N())
+		pkts := make([]*Packet, s.N())
+		route := func() {
+			net.Reset(s)
+			for j := range pkts {
+				p := net.NewPacket(int64(j), j)
+				p.Dst = dsts[j]
+				p.Class = j % s.Dim
+				pkts[j] = p
+			}
+			net.Inject(pkts)
+			if _, err := net.Route(pol, RouteOpts{}); err != nil && errs[w] == nil {
+				errs[w] = err
+			}
+		}
+		route() // warm-up: grows the arena, the queues, and the step scratch
+		net.Reset(s)
+		for i := 0; i < 1<<14; i++ {
+			net.Route(pol, RouteOpts{}) // nothing to route: just the assertions
+		}
+		go func() {
+			for start.Load() == 0 {
+				runtime.Gosched()
+			}
+			for i := 0; i < routesPerWorker; i++ {
+				route()
+			}
+			done.Add(1)
+		}()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start.Store(1)
+	for done.Load() < workers {
+		runtime.Gosched()
+	}
+	runtime.ReadMemStats(&after)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b, m := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs; b != 0 || m != 0 {
+		t.Fatalf("%d warm routes on %d parallel workers allocated %d bytes in %d objects, want 0",
+			routesPerWorker*workers, workers, b, m)
 	}
 }

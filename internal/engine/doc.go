@@ -18,81 +18,68 @@
 //
 // A Net is built over a topo.Topology (New takes the historical
 // grid.Shape and wraps it; NewNet takes any topology). The step loop
-// needs exactly the interface's link-identity contract: every processor
-// exposes a uniform window of link ids, Neighbor maps a directed link to
-// its receiver and a receiver-side inbox slot unique per directed edge
-// (which is what makes the send phase's plain-store inbox writes safe),
-// and Dist is exact. The mesh keeps its precomputed-stride arithmetic as
-// an inline fast path — the step loop recognizes *topo.Mesh by type and
-// performs no interface calls on the transit path — while other
-// topologies route through the interface; both paths are covered by the
-// zero-allocation guards. CheckTopology enforces the data-plane
-// capacity limits (link ids fit an int16, rank*links fits an int32).
+// needs exactly the interface's link contract: every processor exposes
+// a uniform window of link ids, Neighbor maps a directed link to its
+// receiver, and Dist is exact. The mesh keeps its precomputed-stride
+// arithmetic as an inline fast path — the step kernel recognizes
+// *topo.Mesh by type and performs no interface calls on the transit
+// path — while other topologies route through the interface; both paths
+// are covered by the zero-allocation guards. CheckTopology enforces the
+// data-plane capacity limits (link ids fit an int16, rank*links fits an
+// int32).
 //
-// # The two-phase barrier model
+// # One step kernel
 //
-// Each simulated step runs in two phases separated by barriers:
+// Each simulated step is one pass of a single kernel (stepState.step)
+// over the processors holding moving packets, in ascending rank order,
+// on the goroutine that called Route. At each processor, every packet
+// that was moving when the step began requests the link the Policy
+// names (the answer is cached in the queue entry — see Policy purity
+// below); each link is granted to the highest-priority requester
+// (farthest-to-go first, ties to the lowest id — the paper's contention
+// rule); and each winner is appended straight to its receiver's queue.
 //
-//   - Send: every processor with moving packets asks the Policy for the
-//     link each packet wants (the answer is cached in the queue entry —
-//     see Policy purity below), grants each link to the highest-priority
-//     requester (farthest-to-go first, ties to the lowest id — the
-//     paper's contention rule), and writes each winner into its
-//     *receiver's* inbox slot for the link it traveled. Each (receiver,
-//     link) inbox slot has exactly one possible writer per step — the
-//     unique processor whose link l points at that receiver — so sends
-//     from different shards never collide. The sender also sets the
-//     receiver's bit in a per-worker delivery bitmap.
-//   - Deliver: every processor flagged in the ORed delivery bitmaps
-//     drains its own inbox strip (one slot per incoming link) into its
-//     queue. Only receiver-owned state is written. On a 2-side torus
-//     both directions of a dimension reach the same neighbor; the two
-//     slots model the double edge.
+// Synchronous semantics come from a per-processor eligibility
+// watermark: a packet that arrives during the step sits above its
+// receiver's watermark and cannot contest a link until the next step,
+// so no packet moves twice in one step and every contest sees exactly
+// the queue its processor held when the step began. Contests are
+// decided by a strict total order, so the outcome does not depend on
+// the pass order. Route returns the same results and placements on
+// every run, and FuzzEngineMatchesReference holds the kernel to a
+// naive map-and-sort simulator of the model (reference_test.go).
 //
-// Because each phase writes disjoint, single-owner state — and the
-// barrier between phases publishes one phase's plain writes to the
-// next — sharded parallel execution is observationally identical to
-// sequential execution: Route returns bit-identical results and final
-// packet placements for any worker count and any shard size.
+// Every mode runs through the same kernel. Fault checks, patience
+// stranding and load counting are per-processor passes guarded by flags
+// tested outside the hop loop; detouring policies and non-mesh
+// receivers cost one predictable branch per hop; topologies wider than
+// 64 links contest their links in 64-link windows.
 //
 // Packets in flight are represented by 16-byte pointer-free queue
 // entries (id, destination, remaining distance, class, cached link);
 // the cold identity fields live in a packet arena indexed by id, and
-// patience/overshoot accounting lives in side slabs touched only on
+// patience/overshoot accounting lives in a side slab touched only on
 // stranding and completion paths. The hot step loop therefore streams
 // over compact contiguous memory. See DESIGN.md for the measurements
 // behind this layout.
 //
-// # Worker pool and active-shard tracking
+// # Active-set tracking and parallelism
 //
-// Processors are grouped into contiguous shards, the unit of scheduling.
-// The step loop tracks liveness at two resolutions: per shard, the send
-// phase visits only shards holding moving packets (a count maintained by
-// the shard's owning worker) and the delivery phase visits only shards a
-// sender flagged as receiving this step; per processor, bitmaps refine
-// the scan inside a live shard — a moving-queue bitmap steers the send
-// phase straight to non-empty queues, and the per-worker delivery
-// bitmaps steer the deliver phase straight to flagged receivers. Late in
-// a phase, when most of the n^d processors are idle, a step touches only
-// the few processors where packets remain instead of scanning the whole
-// network. The bitmaps are written with plain stores (the inter-phase
-// barrier publishes them); the one cross-shard clear uses a masked
-// atomic only when a 64-bit word straddles a shard boundary.
+// A moving-queue bitmap (one bit per processor) steers the pass
+// straight to processors with packets in transit: late in a phase, when
+// most of the n^d processors are idle, a step touches only the few
+// processors where packets remain instead of scanning the whole
+// network. Same-step activations park in a second bitmap until the pass
+// ends, and receivers above their sender are sampled for the occupancy
+// high-water mark by an end-of-step sweep over a third.
 //
-// Shard work executes on a Pool of persistent workers synchronized by a
-// sense-reversing atomic barrier (an epoch counter publishes work, an
-// atomic countdown reports completion; waiters spin briefly and then
-// park on per-worker wake channels — see Pool). The Route caller
-// participates as worker 0, and work-stealing over the live-shard list
-// balances uneven shards. Shards shrink automatically when the network
-// is small or the worker count high, so a skewed active set — every
-// moving packet clustered in one region of a large mesh — still splits
-// across the pool instead of serializing on one worker
-// (Net.ShardShift overrides the sizing). A pool can (and should) be
-// shared across all phases of a multi-phase algorithm via Net.Pool or
-// RouteOpts.Pool; when neither is set, Route manages a transient pool
-// per phase. With one worker — or one live shard — the step loop runs
-// entirely inline with no goroutines or atomic barrier crossings.
+// Route takes no worker pool. Splitting one step across workers was
+// measured slower at every rung on 2 real cores (a send/deliver split
+// pays an extra inbox round-trip per hop; see EXPERIMENTS.md), so
+// parallelism lives across networks instead: the service runs one
+// network per runner, and independent networks may route concurrently,
+// sharing policies and fault plans. The Pool type serves the local
+// phases of a run (pipeline.Runner.RunBlocks), not routing.
 //
 // # Exact vs. sampled statistics
 //
@@ -100,29 +87,28 @@
 // Delivered, Hops, MaxDist and the overshoot aggregates are maintained
 // per event. MaxQueue is exact too, but subtly so: per-processor
 // occupancy only grows at activation or on receiving, so sampling every
-// processor once at activation and every receiver after its pulls
-// captures the true high-water mark. Link-load counters (SetCountLoads)
-// are exact per traversal but cover only the phases routed while
-// counting was enabled. The wall-clock throughput counters (Elapsed,
-// WorkerBusy, and the derived StepsPerSec/WorkerUtilization) measure the
-// host machine, vary run to run, and are excluded from the determinism
-// guarantee.
+// processor once at activation and every receiver once its state for
+// the step is final captures the true high-water mark. Link-load
+// counters (SetCountLoads) are exact per traversal but cover only the
+// phases routed while counting was enabled. The wall-clock throughput
+// counters (Elapsed, WorkerBusy, and the derived
+// StepsPerSec/WorkerUtilization) measure the host machine, vary run to
+// run, and are excluded from the determinism guarantee.
 //
 // # Policy purity
 //
-// Policies are called concurrently from shard workers and may be called
-// any number of times per packet per step, so NextLink must be a pure
-// function of (rank, dst, class) with no side effects and no dependence
-// on call order. Purity is also what lets the engine cache NextLink's
-// answer in the queue entry and re-ask only when the packet moves: a
-// stalled packet's cached link is, by purity, still the link it wants. It must also be monotone — every requested move reduces
-// the packet's distance to its destination — unless it implements
-// DetourPolicy, which switches the engine to recomputing distances after
-// every hop. It must never route off a mesh boundary. The engine checks
-// monotonicity and boundary legality and converts violations — and any
-// panic escaping NextLink — into an error returned from Route: a buggy
-// policy fails one run, never the process. No code path panics the
-// process from a worker goroutine.
+// NextLink must be a pure function of (rank, dst, class) with no side
+// effects and no dependence on call order: the engine caches its answer
+// in the queue entry and re-asks only when the packet moves (a stalled
+// packet's cached link is, by purity, still the link it wants), and one
+// policy value may serve several networks routing concurrently. It must
+// also be monotone — every requested move reduces the packet's distance
+// to its destination — unless it implements DetourPolicy, which
+// switches the engine to recomputing distances after every hop. It must
+// never route off a mesh boundary. The engine checks monotonicity and
+// boundary legality and converts violations — and any panic escaping
+// NextLink — into an error returned from Route: a buggy policy fails
+// one run, never the process.
 //
 // # Fault model and graceful degradation
 //
@@ -133,8 +119,8 @@
 // enforced at grant time: a packet whose requested link is down simply
 // does not move that step, so waiting is the automatic response to a
 // transient outage. Plans are immutable during routing and every
-// constructor is deterministic, so faulted runs keep the bit-identical
-// cross-worker guarantee. Policies that want to route around failures
+// constructor is deterministic, so faulted runs are reproducible and a
+// plan may be shared by networks routing concurrently. Policies that want to route around failures
 // query PermDown (permanent faults only — transient outages stay
 // invisible, keeping policies pure) and typically implement
 // DetourPolicy.
@@ -158,7 +144,7 @@
 //     degradation itself stalls. The MaxSteps abort returns the same
 //     error shape, alongside the partial RouteResult.
 //   - Paranoid (per step): an opt-in invariant checker — packet
-//     conservation, no packet left on a link across a barrier, held
+//     conservation, no step-local state left across a step, held
 //     packets at their destination or explicitly stranded, distance
 //     budgets equal to true distances — for debugging policies and the
 //     engine itself.

@@ -279,15 +279,19 @@ func TestTwoSideTorusFaultedDoubleEdge(t *testing.T) {
 
 // TestFaultDeterminismAcrossWorkers: under a seeded fault plan the full
 // RouteResult — including the Stranded list and its order — and the
-// final placement must be identical for every worker count, on meshes
-// and tori. Run under -race to also exercise the memory model.
+// final placement must be identical whether a network routes alone or
+// beside others on concurrent workers sharing the plan and the policy,
+// on meshes and tori. Run under -race to also exercise the memory model.
 func TestFaultDeterminismAcrossWorkers(t *testing.T) {
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
+	type outcome struct {
+		res RouteResult
+		fp  string
+	}
 	for _, s := range []grid.Shape{grid.New(3, 6), grid.NewTorus(3, 6)} {
 		f := RandomFaultPlan(s, 0.05, 7)
-		run := func(workers int) (RouteResult, string) {
+		var pol Policy = greedyTestPolicy{s}
+		run := func() outcome {
 			net := New(s)
-			net.Workers = workers
 			rng := xmath.NewRNG(99)
 			dsts := rng.Perm(s.N())
 			pkts := make([]*Packet, s.N())
@@ -297,9 +301,9 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 				pkts[i].Class = i % s.Dim
 			}
 			net.Inject(pkts)
-			res, err := net.Route(greedyTestPolicy{s}, RouteOpts{Faults: f, Paranoid: true})
+			res, err := net.Route(pol, RouteOpts{Faults: f, Paranoid: true})
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
 			}
 			var fp strings.Builder
 			for r := 0; r < s.N(); r++ {
@@ -309,21 +313,11 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 				}
 				fp.WriteByte('\n')
 			}
-			return normalizeResult(res), fp.String()
+			return outcome{normalizeResult(res), fp.String()}
 		}
-		baseRes, baseFP := run(workerCounts[0])
-		if len(baseRes.Stranded) == 0 {
+		base := sameAcrossWorkers(t, runtime.GOMAXPROCS(0)+1, run)
+		if len(base.res.Stranded) == 0 {
 			t.Errorf("%v: fault plan stranded nothing; the determinism test needs strands", s)
-		}
-		for _, w := range workerCounts[1:] {
-			res, fp := run(w)
-			if !reflect.DeepEqual(res, baseRes) {
-				t.Errorf("%v: RouteResult differs between %d and %d workers:\n%+v\n%+v",
-					s, workerCounts[0], w, baseRes, res)
-			}
-			if fp != baseFP {
-				t.Errorf("%v: final placement differs between %d and %d workers", s, workerCounts[0], w)
-			}
 		}
 	}
 }

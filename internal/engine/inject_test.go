@@ -30,20 +30,17 @@ func buildTimedPlan(net *Net, s grid.Shape, count int, window int32, seed uint64
 
 // routeTimed runs one timed-injection phase and returns the result plus
 // the final packet placement.
-func routeTimed(t *testing.T, s grid.Shape, workers, count int, window int32, seed uint64) (RouteResult, map[int]int, *stats.Hist) {
+func routeTimed(t *testing.T, s grid.Shape, count int, window int32, seed uint64) (RouteResult, map[int]int, *stats.Hist) {
 	t.Helper()
 	net := New(s)
-	pool := NewPool(workers)
-	defer pool.Close()
-	net.Pool = pool
 	arr := buildTimedPlan(net, s, count, window, seed)
 	var hist stats.Hist
 	res, err := net.Route(greedyTestPolicy{s}, RouteOpts{Arrivals: arr, Sojourn: &hist})
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Error(err)
 	}
 	if arr.Pending() != 0 {
-		t.Fatalf("workers=%d: %d arrivals left unconsumed", workers, arr.Pending())
+		t.Errorf("%d arrivals left unconsumed", arr.Pending())
 	}
 	return res, net.Snapshot(), &hist
 }
@@ -91,34 +88,21 @@ func TestTimedInjectionDeliversAll(t *testing.T) {
 
 // TestTimedInjectionDeterministicAcrossWorkers pins the determinism
 // guarantee for mid-run activation: the simulated outcome (steps,
-// deliveries, overshoot, queue marks, sojourn percentiles, and the final
-// placement of every packet) must be bit-identical at any worker count,
-// including the single-worker fused path.
+// deliveries, overshoot, queue marks, sojourn histogram and percentiles,
+// and the final placement of every packet) must be bit-identical whether
+// a network routes alone or beside others on concurrent workers.
 func TestTimedInjectionDeterministicAcrossWorkers(t *testing.T) {
 	s := grid.New(3, 6)
-	base, snapBase, histBase := routeTimed(t, s, 1, 400, 6, 99)
+	type outcome struct {
+		res  RouteResult
+		snap map[int]int
+		hist stats.Hist
+	}
 	for _, workers := range []int{2, 3, 7} {
-		res, snap, hist := routeTimed(t, s, workers, 400, 6, 99)
-		if res.Steps != base.Steps || res.Delivered != base.Delivered ||
-			res.Hops != base.Hops || res.MaxDist != base.MaxDist ||
-			res.MaxOvershoot != base.MaxOvershoot || res.SumOvershoot != base.SumOvershoot ||
-			res.MaxQueue != base.MaxQueue {
-			t.Fatalf("workers=%d: result diverged from single-worker run:\n %+v\nvs %+v", workers, res, base)
-		}
-		if *hist != *histBase {
-			t.Fatalf("workers=%d: sojourn histogram state diverged", workers)
-		}
-		if res.Sojourn != base.Sojourn {
-			t.Fatalf("workers=%d: sojourn summary diverged: %+v vs %+v", workers, res.Sojourn, base.Sojourn)
-		}
-		if len(snap) != len(snapBase) {
-			t.Fatalf("workers=%d: %d packets placed, want %d", workers, len(snap), len(snapBase))
-		}
-		for id, rank := range snapBase {
-			if snap[id] != rank {
-				t.Fatalf("workers=%d: packet %d at %d, want %d", workers, id, snap[id], rank)
-			}
-		}
+		sameAcrossWorkers(t, workers, func() outcome {
+			res, snap, hist := routeTimed(t, s, 400, 6, 99)
+			return outcome{normalizeResult(res), snap, *hist}
+		})
 	}
 }
 

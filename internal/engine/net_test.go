@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"meshsort/internal/grid"
@@ -112,10 +113,9 @@ func TestRouteDeliversRandomPermutation(t *testing.T) {
 }
 
 func TestRouteIsDeterministic(t *testing.T) {
-	run := func(workers int) ([]int, int) {
+	run := func() ([]int, int) {
 		s := grid.New(3, 6)
 		net := New(s)
-		net.Workers = workers
 		rng := xmath.NewRNG(99)
 		dsts := rng.Perm(s.N())
 		pkts := make([]*Packet, s.N())
@@ -138,14 +138,14 @@ func TestRouteIsDeterministic(t *testing.T) {
 		}
 		return fp, res.Steps
 	}
-	fp1, steps1 := run(1)
-	fp8, steps8 := run(8)
-	if steps1 != steps8 {
-		t.Fatalf("step counts differ between 1 and 8 workers: %d vs %d", steps1, steps8)
+	fp1, steps1 := run()
+	fp2, steps2 := run()
+	if steps1 != steps2 {
+		t.Fatalf("step counts differ between two runs: %d vs %d", steps1, steps2)
 	}
 	for i := range fp1 {
-		if fp1[i] != fp8[i] {
-			t.Fatal("final placement differs between 1 and 8 workers")
+		if fp1[i] != fp2[i] {
+			t.Fatal("final placement differs between two runs")
 		}
 	}
 }
@@ -359,17 +359,48 @@ func TestTorusWrapRouting(t *testing.T) {
 	}
 }
 
-// TestRouteDeterministicAcrossWorkers is the cross-worker determinism
-// contract: the full RouteResult (minus wall-clock fields) and the final
-// packet placement must be identical for every worker count, on meshes
-// and tori. Run it under -race to also exercise the memory model.
+// sameAcrossWorkers runs fn alone, then on workers goroutines at once —
+// parallelism lives across networks (one per meshsortd runner), so
+// concurrent routes share policies and fault plans but nothing else —
+// and fails the test unless every concurrent outcome equals the solo
+// one. It returns the solo outcome. fn must report failures with
+// t.Error, not t.Fatal, since it runs off the test goroutine.
+func sameAcrossWorkers[T any](t *testing.T, workers int, fn func() T) T {
+	t.Helper()
+	want := fn()
+	got := make([]T, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = fn()
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		if !reflect.DeepEqual(got[w], want) {
+			t.Errorf("worker %d of %d diverged from the solo run:\n%+v\n%+v", w, workers, got[w], want)
+		}
+	}
+	return want
+}
+
+// TestRouteDeterministicAcrossWorkers is the determinism contract under
+// real parallelism: the full RouteResult (minus wall-clock fields) and
+// the final packet placement must be identical whether a network routes
+// alone or beside others on concurrent workers, on meshes and tori. Run
+// it under -race to also exercise the memory model.
 func TestRouteDeterministicAcrossWorkers(t *testing.T) {
-	workerCounts := []int{1, 2, 4, 5, 16}
+	type outcome struct {
+		res RouteResult
+		fp  string
+	}
 	shapes := []grid.Shape{grid.New(3, 6), grid.NewTorus(3, 6), grid.NewTorus(3, 2)}
 	for _, s := range shapes {
-		run := func(workers int) (RouteResult, string) {
+		var pol Policy = greedyTestPolicy{s}
+		run := func() outcome {
 			net := New(s)
-			net.Workers = workers
 			rng := xmath.NewRNG(99)
 			dsts := rng.Perm(s.N())
 			pkts := make([]*Packet, s.N())
@@ -379,12 +410,12 @@ func TestRouteDeterministicAcrossWorkers(t *testing.T) {
 				pkts[i].Class = i % s.Dim
 			}
 			net.Inject(pkts)
-			res, err := net.Route(greedyTestPolicy{s}, RouteOpts{})
+			res, err := net.Route(pol, RouteOpts{})
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
 			}
-			if res.Workers != workers {
-				t.Errorf("%v workers=%d: RouteResult.Workers = %d", s, workers, res.Workers)
+			if res.Workers != 1 {
+				t.Errorf("%v: RouteResult.Workers = %d, want 1", s, res.Workers)
 			}
 			var fp strings.Builder
 			for r := 0; r < s.N(); r++ {
@@ -395,70 +426,10 @@ func TestRouteDeterministicAcrossWorkers(t *testing.T) {
 				}
 				fp.WriteByte('\n')
 			}
-			return normalizeResult(res), fp.String()
+			return outcome{normalizeResult(res), fp.String()}
 		}
-		baseRes, baseFP := run(workerCounts[0])
-		for _, w := range workerCounts[1:] {
-			res, fp := run(w)
-			if !reflect.DeepEqual(res, baseRes) {
-				t.Errorf("%v: RouteResult differs between %d and %d workers:\n%+v\n%+v",
-					s, workerCounts[0], w, baseRes, res)
-			}
-			if fp != baseFP {
-				t.Errorf("%v: final placement differs between %d and %d workers", s, workerCounts[0], w)
-			}
-		}
-	}
-}
-
-// TestRouteDeterministicAcrossShardShifts pins the claim that shard
-// sizing is pure scheduling: the same problem must produce the same
-// RouteResult and placement at every shard resolution and worker count.
-// The spread of shifts matters for coverage, not just determinism — at
-// shardShift >= 6 the active-set bitmaps use word-aligned plain claims,
-// below that shards share bitmap words and the engine switches to
-// masked atomic claims (and drops the moving bitmap entirely), so under
-// -race this test exercises both memory-model regimes.
-func TestRouteDeterministicAcrossShardShifts(t *testing.T) {
-	s := grid.NewTorus(3, 8) // 512 procs: several shards at every shift
-	type cfg struct{ shift, workers int }
-	cfgs := []cfg{{0, 1}, {4, 4}, {5, 2}, {6, 4}, {7, 2}, {9, 4}}
-	run := func(c cfg) (RouteResult, string) {
-		net := New(s)
-		net.Workers = c.workers
-		net.ShardShift = c.shift
-		rng := xmath.NewRNG(123)
-		dsts := rng.Perm(s.N())
-		pkts := make([]*Packet, s.N())
-		for i := range pkts {
-			pkts[i] = net.NewPacket(int64(i), i)
-			pkts[i].Dst = dsts[i]
-			pkts[i].Class = i % s.Dim
-		}
-		net.Inject(pkts)
-		res, err := net.Route(greedyTestPolicy{s}, RouteOpts{Paranoid: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fp strings.Builder
-		for r := 0; r < s.N(); r++ {
-			fmt.Fprintf(&fp, "%d:", r)
-			for _, id := range net.Held(r) {
-				fmt.Fprintf(&fp, " %d", net.Packet(id).ID)
-			}
-			fp.WriteByte('\n')
-		}
-		return normalizeResult(res), fp.String()
-	}
-	baseRes, baseFP := run(cfgs[0])
-	for _, c := range cfgs[1:] {
-		res, fp := run(c)
-		if !reflect.DeepEqual(res, baseRes) {
-			t.Errorf("shift=%d workers=%d: RouteResult differs from the auto-sharded run:\n%+v\n%+v",
-				c.shift, c.workers, baseRes, res)
-		}
-		if fp != baseFP {
-			t.Errorf("shift=%d workers=%d: final placement differs from the auto-sharded run", c.shift, c.workers)
+		for _, workers := range []int{2, 5} {
+			sameAcrossWorkers(t, workers, run)
 		}
 	}
 }

@@ -1,16 +1,17 @@
 package engine
 
 // Packet is a unit of routable data: the algorithm-facing record of the
-// arena. Exactly one goroutine touches a packet at any time (the worker
-// owning the processor currently holding it), so packets need no locks.
+// arena. A packet belongs to one network, and only the goroutine routing
+// that network — or the local-phase worker owning the packet's block —
+// touches it at any time, so packets need no locks.
 //
 // The engine's per-step routing state (remaining distance, patience
-// counters, grant stamps, activation records) does not live here: it is
-// kept in struct-of-arrays slabs on the Net, indexed by ID, so the step
-// loop never pulls these cold fields through the cache. Dst and Class
-// are copied into those slabs when a routing phase activates the packet
-// — changing them mid-phase has no effect (and is illegal anyway:
-// algorithms only modify packets between phases).
+// counters, activation records) does not live here: it is kept in the
+// moving-queue entries and in the Net's accounting slab indexed by ID,
+// so the step loop never pulls these cold fields through the cache. Dst
+// and Class are copied into the queue entry when a routing phase
+// activates the packet — changing them mid-phase has no effect (and is
+// illegal anyway: algorithms only modify packets between phases).
 type Packet struct {
 	ID  int   // unique id == arena index, assigned at creation
 	Key int64 // sort key (ignored by pure routing)

@@ -6,30 +6,30 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent set of worker goroutines that execute the shard
-// work of routing phases. A Pool replaces the per-step goroutine spawning
-// of the naive step loop: workers are launched once and synchronize with
-// the coordinator through a sense-reversing atomic barrier.
+// Pool is a persistent set of worker goroutines for a run's local
+// phases: pipeline.Runner.RunBlocks fans block-local work (sorts,
+// merges, scans) across it. Routing phases never use it — Net.Route
+// runs on its caller's goroutine, and parallelism across routing work
+// comes from independent networks (one per service runner) running
+// concurrently. Workers are launched once and synchronize with the
+// caller through a sense-reversing atomic barrier.
 //
 // Run publishes work by advancing an epoch counter (the barrier's
 // "sense"); workers observe the flip with a bounded spin before falling
 // back to a parked channel wait, and completion is a single atomic
-// countdown the caller observes the same way. When phases arrive
-// back-to-back — the step loop wakes the pool twice per simulated step —
-// the barrier crossings are pure atomic loads and stores, with no
-// channel round-trip per step per worker (the cost that dominated the
-// old wake/done channel barrier at high shard counts). When the pool
-// goes idle between phases, spinners park on their wake channels and
-// burn no CPU.
+// countdown the caller observes the same way. When Runs arrive
+// back-to-back the barrier crossings are pure atomic loads and stores,
+// with no channel round-trip per worker. When the pool goes idle,
+// spinners park on their wake channels and burn no CPU. (A park takes a
+// runtime wait record from a per-P cache that GC empties, so the parked
+// path can allocate a few bytes now and then at GOMAXPROCS >= 2.)
 //
-// A single Pool may be shared by any number of Net values and routing
-// phases, as long as Run is never called concurrently (routing phases are
-// sequential by construction, so sharing one pool across the phases of a
-// multi-phase algorithm — or across algorithms — is the intended use).
-// Create one with NewPool, attach it via Net.Pool or RouteOpts.Pool, and
-// release its goroutines with Close when done. A nil *Pool is valid
-// everywhere a pool is accepted and means "let Route manage a transient
-// pool for the phase".
+// A single Pool may be shared by any number of runners and runs, as
+// long as Run is never called concurrently (phases of one run are
+// sequential by construction). Create one with NewPool, hand it to
+// pipeline.Config.Pool (or the Pool field of the algorithm configs), and
+// release its goroutines with Close when done. A nil *Pool means local
+// phases run serially.
 //
 // The calling goroutine participates as worker 0, so a 1-worker pool
 // performs no atomic operations and spawns no goroutines at all.
@@ -194,9 +194,9 @@ func (p *Pool) worker(w int) {
 			return
 		}
 		func() {
-			// Record panics instead of crashing the process: engine panics
-			// signal algorithm bugs and must be catchable by the Route
-			// caller (Run re-raises them there).
+			// Record panics instead of crashing the process: they signal
+			// algorithm bugs and must be catchable by the Run caller (Run
+			// re-raises them there).
 			defer func() {
 				if r := recover(); r != nil {
 					p.mu.Lock()

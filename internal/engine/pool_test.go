@@ -1,13 +1,9 @@
 package engine
 
 import (
-	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"meshsort/internal/grid"
-	"meshsort/internal/xmath"
 )
 
 func TestPoolRunsEveryWorker(t *testing.T) {
@@ -67,49 +63,6 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	p.Close()
 	var nilPool *Pool
 	nilPool.Close() // must not crash
-}
-
-// TestSharedPoolAcrossPhasesAndNets: one pool drives several phases on
-// several networks and produces the same simulation as transient pools.
-func TestSharedPoolAcrossPhasesAndNets(t *testing.T) {
-	run := func(pool *Pool) [2]RouteResult {
-		var out [2]RouteResult
-		for i, s := range []grid.Shape{grid.New(3, 4), grid.NewTorus(2, 6)} {
-			net := New(s)
-			net.Pool = pool
-			rng := xmath.NewRNG(11)
-			dsts := rng.Perm(s.N())
-			pkts := make([]*Packet, s.N())
-			for j := range pkts {
-				pkts[j] = net.NewPacket(0, j)
-				pkts[j].Dst = dsts[j]
-			}
-			net.Inject(pkts)
-			res, err := net.Route(greedyTestPolicy{s}, RouteOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A second phase through the same pool: send everything home.
-			for _, p := range pkts {
-				p.Dst = p.Src
-			}
-			res2, err := net.Route(greedyTestPolicy{s}, RouteOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res.Steps += res2.Steps
-			res.Hops += res2.Hops
-			out[i] = normalizeResult(res)
-		}
-		return out
-	}
-	pool := NewPool(4)
-	defer pool.Close()
-	shared := run(pool)
-	transient := run(nil)
-	if !reflect.DeepEqual(shared, transient) {
-		t.Errorf("shared pool changed the simulation:\nshared    %+v\ntransient %+v", shared, transient)
-	}
 }
 
 // normalizeResult zeroes the wall-clock fields, which are excluded from

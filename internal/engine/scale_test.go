@@ -170,36 +170,3 @@ func TestThroughputLargeCounts(t *testing.T) {
 			zero.PacketsPerStep(), zero.AvgOvershoot(), zero.StepsPerSec(), zero.WorkerUtilization())
 	}
 }
-
-// TestShardSizing pins the shard-tuning rules: shards shrink until the
-// expected worker pool sees at least 8 shards each (so skewed activation
-// cannot serialize on one worker), never below 16 processors, and
-// Net.ShardShift overrides the result within [4, 16].
-func TestShardSizing(t *testing.T) {
-	cases := []struct {
-		shape     grid.Shape
-		workers   int
-		override  int
-		wantShift uint
-	}{
-		{grid.New(3, 16), 1, 0, 7},   // 4096 procs, 1 worker: 4096>>7 = 32 >= 8 shards, default stands
-		{grid.New(3, 16), 16, 0, 5},  // needs >= 128 shards: 4096>>5 = 128
-		{grid.New(2, 4), 1, 0, 4},    // tiny net bottoms out at the floor
-		{grid.New(3, 16), 1, 2, 4},   // override clamps up to the floor
-		{grid.New(3, 16), 1, 99, 16}, // and down to the ceiling
-		{grid.New(3, 16), 1, 9, 9},   // in-range override wins verbatim
-	}
-	for _, c := range cases {
-		n := New(c.shape)
-		n.Workers = c.workers
-		n.ShardShift = c.override
-		st := newStepState(n)
-		if st.shardShift != c.wantShift {
-			t.Errorf("%v workers=%d override=%d: shardShift = %d, want %d",
-				c.shape, c.workers, c.override, st.shardShift, c.wantShift)
-		}
-		if st.numShards != (c.shape.N()+st.shardSize-1)>>st.shardShift {
-			t.Errorf("%v: inconsistent shard count", c.shape)
-		}
-	}
-}

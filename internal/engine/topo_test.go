@@ -88,13 +88,12 @@ func TestCliqueKRelationBound(t *testing.T) {
 
 // TestCliqueDeterministicAcrossWorkers extends the engine's determinism
 // guarantee to a non-mesh topology: final placement and step count are
-// bit-identical for every worker count and shard granularity.
+// bit-identical whether a network routes alone or beside others on
+// concurrent workers.
 func TestCliqueDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers, shardShift int) ([]int, int) {
-		c := topo.NewClique(96)
+	c := topo.NewClique(96)
+	run := func() ([]int, int) {
 		net := NewNet(c)
-		net.Workers = workers
-		net.ShardShift = shardShift
 		rng := xmath.NewRNG(55)
 		pkts := make([]*Packet, 0, 3*c.N())
 		for j := 0; j < 3; j++ {
@@ -108,7 +107,7 @@ func TestCliqueDeterministicAcrossWorkers(t *testing.T) {
 		net.Inject(pkts)
 		res, err := net.Route(cliqueTestPolicy{c}, RouteOpts{Paranoid: true})
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
 		fp := make([]int, 0, len(pkts))
 		for r := 0; r < c.N(); r++ {
@@ -118,17 +117,15 @@ func TestCliqueDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return fp, res.Steps
 	}
-	fp1, steps1 := run(1, 0)
-	for _, cfg := range [][2]int{{4, 0}, {8, 0}, {4, 4}, {8, 7}} {
-		fp, steps := run(cfg[0], cfg[1])
-		if steps != steps1 {
-			t.Fatalf("steps differ: %d workers shift %d took %d, serial took %d", cfg[0], cfg[1], steps, steps1)
-		}
-		for i := range fp1 {
-			if fp[i] != fp1[i] {
-				t.Fatalf("placement differs with %d workers shift %d", cfg[0], cfg[1])
-			}
-		}
+	type outcome struct {
+		fp    []int
+		steps int
+	}
+	for _, workers := range []int{2, 4} {
+		sameAcrossWorkers(t, workers, func() outcome {
+			fp, steps := run()
+			return outcome{fp, steps}
+		})
 	}
 }
 
@@ -224,9 +221,6 @@ func TestCliqueWarmRouteDoesNotAllocate(t *testing.T) {
 	}
 	c := topo.NewClique(128)
 	net := NewNet(c)
-	pool := NewPool(2)
-	defer pool.Close()
-	net.Pool = pool
 
 	rng := xmath.NewRNG(13)
 	dsts := rng.Perm(c.N())

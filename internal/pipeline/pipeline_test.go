@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"errors"
 	"testing"
 
 	"meshsort/internal/engine"
@@ -149,6 +150,39 @@ func TestPhaseErrorKeepsPrefix(t *testing.T) {
 	}
 	if tot.TotalSteps != 7 || tot.OracleSteps != 7 {
 		t.Errorf("totals = %+v, want the prefix's 7 steps", tot)
+	}
+}
+
+// TestAbortedRouteKeepsMaxQueue: a route phase that aborts still
+// contributes its occupancy high-water mark to the totals. The phase
+// never reaches the success path that records a PhaseStat, so Totals
+// learns the mark only from the network — which must be raised on every
+// way out of Route, aborts included.
+func TestAbortedRouteKeepsMaxQueue(t *testing.T) {
+	s := grid.New(2, 4)
+	r := pipeline.New(pipeline.Config{
+		Shape:  s,
+		Policy: route.NewGreedy(s),
+		Route:  engine.RouteOpts{MaxSteps: 1},
+	})
+	keys := make([]int64, s.N())
+	if _, err := r.InjectKeys(1, keys); err != nil {
+		t.Fatal(err)
+	}
+	err := r.Run(pipeline.Route{Name: "reverse", Prepare: func(net *engine.Net) error {
+		net.ForEachHeld(func(rank int, p *engine.Packet) { p.Dst = s.N() - 1 - rank })
+		return nil
+	}})
+	var de *engine.DegradedError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v, want a MaxSteps abort", err)
+	}
+	last := r.LastRoute()
+	if last.MaxQueue <= 0 {
+		t.Fatalf("aborted phase reports MaxQueue %d, want > 0", last.MaxQueue)
+	}
+	if got := r.Totals().MaxQueue; got != last.MaxQueue {
+		t.Errorf("Totals().MaxQueue = %d, want the aborted phase's %d", got, last.MaxQueue)
 	}
 }
 

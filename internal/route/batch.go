@@ -21,12 +21,9 @@ type BatchOpts struct {
 	BlockSide int    // block side for ClassLocalRank (must divide n); 0 disables blocking (per-processor classes)
 	Seed      uint64 // seed for ClassRandom
 	MaxSteps  int    // engine safety limit; 0 for default
-	Workers   int    // engine shard workers; 0 for GOMAXPROCS
-	// ShardShift overrides the engine's shard sizing (log2 processors
-	// per shard; 0 means automatic, see engine.Net.ShardShift).
-	ShardShift int
 	// Pool optionally supplies a persistent engine worker pool shared
-	// across problems; nil means a transient pool per phase.
+	// across problems, for the runner's local phases; routing itself runs
+	// on the caller's goroutine.
 	Pool *engine.Pool
 
 	// Faults, if non-nil, injects the plan into the phase and switches the
@@ -41,7 +38,7 @@ type BatchOpts struct {
 
 	// CountLoads enables per-link load counting on the network (for
 	// congestion heatmaps); off by default because counting costs memory
-	// and atomics on the hot path.
+	// and a write per hop.
 	CountLoads bool
 	// Observer, if set, receives the phase's PhaseStat when it completes.
 	Observer pipeline.Observer
@@ -82,11 +79,9 @@ func RunTopoProblem(t topo.Topology, prob perm.Problem, opts BatchOpts) (engine.
 		pol = DefaultPolicy(t, opts.Faults)
 	}
 	cfg := pipeline.Config{
-		Topo:       t,
-		Workers:    opts.Workers,
-		ShardShift: opts.ShardShift,
-		Pool:       opts.Pool,
-		Policy:     pol,
+		Topo:   t,
+		Pool:   opts.Pool,
+		Policy: pol,
 		Route: engine.RouteOpts{
 			MaxSteps:   opts.MaxSteps,
 			Faults:     opts.Faults,

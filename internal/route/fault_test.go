@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"meshsort/internal/engine"
@@ -143,19 +144,22 @@ func TestFaultGreedyCutDestinationStrands(t *testing.T) {
 }
 
 // TestRunProblemFaultDeterminismAcrossWorkers: the full degraded
-// RouteResult and final placements are identical for every worker
-// count, on mesh and torus. Run under -race for the memory model.
+// RouteResult and final placements are identical whether a problem runs
+// alone or on concurrent workers sharing the fault plan and the problem
+// (the meshsortd model: one network per runner), on mesh and torus. Run
+// under -race for the memory model.
 func TestRunProblemFaultDeterminismAcrossWorkers(t *testing.T) {
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
+	workers := runtime.GOMAXPROCS(0) + 1
 	for _, s := range []grid.Shape{grid.New(3, 8), grid.NewTorus(3, 8)} {
 		f := engine.RandomFaultPlan(s, 0.03, 11)
 		prob := perm.Random(s, xmath.NewRNG(13))
-		run := func(workers int) (engine.RouteResult, string) {
+		run := func() (engine.RouteResult, string) {
 			res, net, err := RunProblem(s, prob, BatchOpts{
-				Mode: ClassLocalRank, BlockSide: 2, Faults: f, Workers: workers,
+				Mode: ClassLocalRank, BlockSide: 2, Faults: f,
 			})
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
+				return engine.RouteResult{}, ""
 			}
 			var fp strings.Builder
 			for r := 0; r < s.N(); r++ {
@@ -166,15 +170,25 @@ func TestRunProblemFaultDeterminismAcrossWorkers(t *testing.T) {
 			}
 			return normalizeRes(res), fp.String()
 		}
-		baseRes, baseFP := run(workerCounts[0])
-		for _, w := range workerCounts[1:] {
-			res, fp := run(w)
-			if !reflect.DeepEqual(res, baseRes) {
-				t.Errorf("%v: RouteResult differs between %d and %d workers:\n%+v\n%+v",
-					s, workerCounts[0], w, baseRes, res)
+		baseRes, baseFP := run()
+		res := make([]engine.RouteResult, workers)
+		fps := make([]string, workers)
+		var wg sync.WaitGroup
+		for w := range res {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res[w], fps[w] = run()
+			}()
+		}
+		wg.Wait()
+		for w := range res {
+			if !reflect.DeepEqual(res[w], baseRes) {
+				t.Errorf("%v: worker %d's RouteResult differs from the solo run:\n%+v\n%+v",
+					s, w, baseRes, res[w])
 			}
-			if fp != baseFP {
-				t.Errorf("%v: final placement differs between %d and %d workers", s, workerCounts[0], w)
+			if fps[w] != baseFP {
+				t.Errorf("%v: worker %d's final placement differs from the solo run", s, w)
 			}
 		}
 	}

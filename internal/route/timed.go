@@ -33,11 +33,9 @@ func RunTimedLoad(t topo.Topology, load traffic.Load, sched traffic.Schedule, op
 	arr := &engine.Arrivals{}
 	var soj stats.Hist
 	cfg := pipeline.Config{
-		Topo:       t,
-		Workers:    opts.Workers,
-		ShardShift: opts.ShardShift,
-		Pool:       opts.Pool,
-		Policy:     pol,
+		Topo:   t,
+		Pool:   opts.Pool,
+		Policy: pol,
 		Route: engine.RouteOpts{
 			MaxSteps:   opts.MaxSteps,
 			Faults:     opts.Faults,

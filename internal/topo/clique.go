@@ -14,7 +14,7 @@ import "fmt"
 //	l   when l <  r
 //	l+1 when l >= r
 //
-// The inbox slot at the receiver t is the receiver's own link id for the
+// The slot at the receiver t is the receiver's own link id for the
 // sender (r with t skipped), which makes Reverse and the slot mapping
 // the same function: the directed edge r->t delivers into exactly the
 // slot whose back-link returns to r, so (recv, slot) is unique per edge
@@ -77,7 +77,7 @@ func (c *Clique) SlotSender(recv, slot int) (sender, senderLink int) {
 }
 
 // Reverse implements Topology. For the clique the back-link equals the
-// inbox slot by construction.
+// slot by construction.
 func (c *Clique) Reverse(rank, link int) (recv, backLink int, ok bool) {
 	return c.Neighbor(rank, link)
 }

@@ -15,7 +15,7 @@ import (
 //
 // Link ids are grid's encoding dim*2 + dirBit (engine.LinkFor): the
 // window width is 2d everywhere, with boundary links of a mesh carrying
-// no edge. The inbox slot of an edge is the sender's own link id — the
+// no edge. The slot of an edge is the sender's own link id — the
 // receiver can always reconstruct the sender from the slot's dimension
 // and direction, and on a side-2 torus the two directed edges of a
 // dimension land in the two distinct slots of that dimension.

@@ -1,7 +1,7 @@
 // Package topo defines the pluggable topology layer of the routing
 // engine: the graph a network simulates, expressed in the terms the
 // engine's data plane needs — uniform link-id windows, receiver-side
-// inbox slots, distances — rather than as an adjacency list.
+// edge slots, distances — rather than as an adjacency list.
 //
 // The engine (internal/engine) owns the packets and the step loop; a
 // Topology owns the graph. Mesh is the precomputed-stride mesh/torus of
@@ -15,26 +15,26 @@ package topo
 import "meshsort/internal/grid"
 
 // Topology is the graph contract the engine routes on. Implementations
-// must be immutable after construction and safe for concurrent use: the
-// step loop calls Neighbor, SlotSender, and Dist from shard workers.
+// must be immutable after construction and safe for concurrent use:
+// networks routing concurrently on different goroutines may share one
+// topology and call Neighbor and Dist at the same time.
 //
 // Link identity. Every processor owns link ids [0, Links()), a uniform
 // window even when degrees vary (a mesh corner has fewer edges than an
-// interior node): the engine sizes its per-processor out-slot and inbox
-// windows by Links(), and routing policies name moves by link id. Link
+// interior node): the engine sizes its link contest and its load
+// counters by Links(), and routing policies name moves by link id. Link
 // ids that carry no edge at a given rank are legal policy vocabulary —
 // Neighbor reports ok=false and the engine treats requesting them as a
 // policy error — so Links() must be the maximum over ranks of the
 // per-rank degree, and no larger than necessary.
 //
-// Inbox slots. Neighbor also returns the receiver-side slot the edge
-// delivers into: slot s of rank r is written only by the unique directed
-// edge Neighbor maps to (r, s), which is what lets the engine's send
-// phase forward packets into a shared inbox slab with plain stores and
-// no per-slot synchronization. Slots live in [0, Links()) and their
-// meaning is otherwise topology-private; SlotSender is the inverse the
-// engine uses to attribute a received packet to its sender's directed
-// link (load accounting).
+// Slots. Neighbor also returns the receiver-side slot the edge delivers
+// into: slot s of rank r is reached by exactly one directed edge, so
+// (recv, slot) names an edge from the receiver's side, for bookkeeping
+// indexed by receiver. Slots live in [0, Links()) and their meaning is
+// otherwise topology-private; SlotSender is the inverse. The engine's
+// step kernel forwards packets straight onto receiver queues and does
+// not use slots.
 //
 // Distances. Dist is the shortest-path hop count; the engine uses it for
 // activation budgets, monotonicity checking, and watchdog defaults, so
@@ -52,8 +52,7 @@ type Topology interface {
 	Degree(rank int) int
 
 	// Neighbor resolves the directed edge behind (rank, link): the
-	// neighbor it reaches and the receiver-side inbox slot it delivers
-	// into. ok is false when the link id carries no edge at this rank
+	// neighbor it reaches and the receiver-side slot it delivers into. ok is false when the link id carries no edge at this rank
 	// (e.g. off a mesh boundary). The mapping (rank, link) -> (recv,
 	// slot) is injective over edges: no two directed edges share a
 	// (recv, slot) pair.
@@ -85,7 +84,7 @@ type Topology interface {
 // SameGeometry reports whether two topologies share the engine-facing
 // layout — processor count and link window — closely enough that a
 // network built for a can be Reset to b without rebuilding its
-// per-processor queues, out-slot slab, inbox slab, or step scratch.
+// per-processor queues or step scratch.
 // Mesh and torus of the same dimension and side share geometry (the
 // wrap flag is consulted live, never cached in engine storage); a mesh
 // never shares geometry with a clique even at equal N and Links,
