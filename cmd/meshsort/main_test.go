@@ -1,31 +1,17 @@
 package main
 
 import (
-	"encoding/json"
-	"reflect"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
-	"meshsort/internal/core"
 	"meshsort/internal/engine"
 	"meshsort/internal/grid"
 	"meshsort/internal/perm"
-	"meshsort/internal/pipeline"
 	"meshsort/internal/route"
 	"meshsort/internal/service"
-	"meshsort/internal/topo"
-	"meshsort/internal/traffic"
-	"meshsort/internal/xmath"
 )
-
-func TestPickPerm(t *testing.T) {
-	s := grid.New(2, 8)
-	for _, name := range []string{"random", "reversal", "transpose", "hotspot"} {
-		p := pickPerm(name, s, 1)
-		if err := p.Validate(s.N(), 1); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
 
 func TestPrintHeatmapRuns(t *testing.T) {
 	// Smoke: the heatmap renderer must handle loaded and empty networks
@@ -33,7 +19,7 @@ func TestPrintHeatmapRuns(t *testing.T) {
 	for _, s := range []grid.Shape{grid.New(2, 8), grid.New(3, 4)} {
 		net := engine.New(s)
 		net.SetCountLoads(true)
-		prob := pickPerm("reversal", s, 1)
+		prob := perm.Reversal(s)
 		pkts := make([]*engine.Packet, prob.Size())
 		for i := range pkts {
 			pkts[i] = net.NewPacket(0, prob.Src[i])
@@ -48,181 +34,37 @@ func TestPrintHeatmapRuns(t *testing.T) {
 	printHeatmap(engine.New(grid.New(2, 4))) // no loads counted
 }
 
-// TestJSONMatchesService pins the -json contract: a CLI run encodes to
-// the same object the service produces for the equivalent JobSpec, so
-// one parser serves both outputs.
-func TestJSONMatchesService(t *testing.T) {
-	shape := grid.New(2, 8)
-	cfg := core.Config{Shape: shape, BlockSide: 4, K: 1, Seed: 1}
-	keys := core.RandomKeys(shape, 1, 2)
-	res, err := core.SimpleSort(cfg, keys)
+// TestCLIRunsAboveServiceCeiling pins where the resource ceilings live:
+// a valid spec above service.MaxSide runs through the CLI's job-model
+// path, while meshsortd rejects the same spec with 400.
+func TestCLIRunsAboveServiceCeiling(t *testing.T) {
+	const body = `{"alg":"route","d":2,"n":80}`
+	if 80 <= service.MaxSide {
+		t.Fatalf("n=80 is no longer above MaxSide=%d; pick a larger side", service.MaxSide)
+	}
+	spec, err := service.DecodeSpec(strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := json.Marshal(service.FromSort(res))
+	spec, err = spec.Canonicalize()
+	if err != nil {
+		t.Fatalf("Canonicalize rejected an over-ceiling spec: %v", err)
+	}
+	pool := engine.NewPool(1)
+	defer pool.Close()
+	res, err := runJob(spec, pool, nil, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !res.Delivered || res.N != 6400 || res.RouteSteps == 0 {
+		t.Errorf("implausible CLI result: %+v", res)
 	}
 
-	s := service.New(service.Options{Runners: 1, WorkersPerRunner: 1})
-	defer s.Close()
-	job, err := s.Submit(service.JobSpec{Alg: service.AlgSimple, D: 2, N: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-job.Done()
-	st := job.Snapshot()
-	if st.Status != service.StatusDone {
-		t.Fatalf("service job: %s (%s)", st.Status, st.Error)
-	}
-
-	var fromCLI, fromSvc service.Result
-	if err := json.Unmarshal(cli, &fromCLI); err != nil {
-		t.Fatal(err)
-	}
-	svcBytes, err := json.Marshal(st.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(svcBytes, &fromSvc); err != nil {
-		t.Fatal(err)
-	}
-	// Throughput figures are wall-clock dependent; everything else in
-	// the two encodings must agree, key sum included.
-	fromCLI.Phases, fromSvc.Phases = nil, nil
-	if !reflect.DeepEqual(fromCLI, fromSvc) {
-		t.Errorf("CLI and service results diverge:\n  cli: %+v\n  svc: %+v", fromCLI, fromSvc)
-	}
-	if fromCLI.KeySum == "" {
-		t.Error("CLI result missing keySum")
-	}
-}
-
-// TestCliqueJSONMatchesService pins the -json contract for the clique
-// workload the same way TestJSONMatchesService does for the sorts: the
-// CLI path (RunTopoProblem on an explicit runner + FromCliqueRoute)
-// must encode to the object the service produces for the equivalent
-// JobSpec.
-func TestCliqueJSONMatchesService(t *testing.T) {
-	c := topo.NewClique(64)
-	runner := pipeline.New(pipeline.Config{Topo: c})
-	prob := perm.RandomRanksK(64, 3, xmath.NewRNG(1))
-	res, net, err := route.RunTopoProblem(c, prob, route.BatchOpts{Runner: runner})
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered := true
-	net.ForEachHeld(func(rank int, p *engine.Packet) {
-		if p.Dst != rank {
-			delivered = false
-		}
-	})
-	cli, err := json.Marshal(service.FromCliqueRoute(res, runner.Totals(), c, 3, delivered))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := service.New(service.Options{Runners: 1, WorkersPerRunner: 1})
-	defer s.Close()
-	job, err := s.Submit(service.JobSpec{Alg: service.AlgCliqueRoute, N: 64, K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-job.Done()
-	st := job.Snapshot()
-	if st.Status != service.StatusDone {
-		t.Fatalf("service job: %s (%s)", st.Status, st.Error)
-	}
-
-	var fromCLI, fromSvc service.Result
-	if err := json.Unmarshal(cli, &fromCLI); err != nil {
-		t.Fatal(err)
-	}
-	svcBytes, err := json.Marshal(st.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(svcBytes, &fromSvc); err != nil {
-		t.Fatal(err)
-	}
-	fromCLI.Phases, fromSvc.Phases = nil, nil
-	if !reflect.DeepEqual(fromCLI, fromSvc) {
-		t.Errorf("CLI and service clique results diverge:\n  cli: %+v\n  svc: %+v", fromCLI, fromSvc)
-	}
-	if !fromCLI.Delivered || fromCLI.Bound != 3 || fromCLI.TotalSteps > 3 {
-		t.Errorf("implausible clique result: %+v", fromCLI)
-	}
-}
-
-func TestPhaseTraces(t *testing.T) {
-	in := []pipeline.PhaseStat{{Name: "a", Kind: "route", Steps: 3, Bound: 5}}
-	out := phaseTraces(in)
-	if len(out) != 1 || out[0].Name != "a" || out[0].Bound != 5 {
-		t.Errorf("phaseTraces: %+v", out)
-	}
-}
-
-// TestTrafficJSONMatchesService pins the -json contract for timed
-// traffic: the CLI path (RunTimedLoad on an explicit runner +
-// FromTraffic) must encode to the object the service produces for the
-// equivalent JobSpec — sojourn percentiles included.
-func TestTrafficJSONMatchesService(t *testing.T) {
-	shape := grid.New(2, 8)
-	// Match the service's seeding: the demand draws from Seed, the
-	// schedule from Seed+1 (spec.Seed canonicalizes 0 to 1).
-	ld, err := traffic.ParseLoad("lk:l=2,k=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := traffic.ParseSchedule("window:32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld.Seed, sc.Seed = 1, 2
-	runner := pipeline.New(pipeline.Config{Shape: shape})
-	res, net, err := route.RunTimedLoad(topo.FromShape(shape), ld, sc, route.BatchOpts{Runner: runner})
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered := true
-	net.ForEachHeld(func(rank int, p *engine.Packet) {
-		if p.Dst != rank {
-			delivered = false
-		}
-	})
-	cli, err := json.Marshal(service.FromTraffic(res, runner.Totals(), shape, delivered))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := service.New(service.Options{Runners: 1, WorkersPerRunner: 1})
-	defer s.Close()
-	job, err := s.Submit(service.JobSpec{Alg: service.AlgTraffic, D: 2, N: 8, Load: "lk:l=2,k=3", Inject: "window:32"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-job.Done()
-	st := job.Snapshot()
-	if st.Status != service.StatusDone {
-		t.Fatalf("service job: %s (%s)", st.Status, st.Error)
-	}
-
-	var fromCLI, fromSvc service.Result
-	if err := json.Unmarshal(cli, &fromCLI); err != nil {
-		t.Fatal(err)
-	}
-	svcBytes, err := json.Marshal(st.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(svcBytes, &fromSvc); err != nil {
-		t.Fatal(err)
-	}
-	fromCLI.Phases, fromSvc.Phases = nil, nil
-	if !reflect.DeepEqual(fromCLI, fromSvc) {
-		t.Errorf("CLI and service traffic results diverge:\n  cli: %+v\n  svc: %+v", fromCLI, fromSvc)
-	}
-	if !fromCLI.Delivered || fromCLI.Sojourn == nil || fromCLI.Sojourn.Count == 0 {
-		t.Errorf("implausible traffic result: %+v", fromCLI)
+	svc := service.New(service.Options{Runners: 1, WorkersPerRunner: 1})
+	defer svc.Close()
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "out of range [2,64]") {
+		t.Errorf("POST /v1/jobs: %d %s, want 400 naming the side ceiling", rec.Code, rec.Body.String())
 	}
 }

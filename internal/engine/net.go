@@ -758,9 +758,8 @@ type RouteResult struct {
 
 	// Engine throughput counters (wall-clock, not simulated time; they
 	// vary run to run and are excluded from determinism guarantees).
-	Workers    int           // goroutines the step loop ran on (always 1: Route runs on its caller's)
 	Elapsed    time.Duration // wall-clock duration of the step loop
-	WorkerBusy time.Duration // time spent inside the step kernel, summed over workers
+	WorkerBusy time.Duration // time spent inside the step kernel (Route runs on its caller's goroutine)
 }
 
 // AvgOvershoot returns the mean overshoot per delivered packet.
@@ -789,15 +788,15 @@ func (r RouteResult) PacketsPerStep() float64 {
 	return float64(r.Hops) / float64(r.Steps)
 }
 
-// WorkerUtilization returns the fraction of the phase's worker-seconds
-// spent inside the step kernel: WorkerBusy / (Workers * Elapsed). Low
+// WorkerUtilization returns the fraction of the phase's wall time spent
+// inside the step kernel: WorkerBusy / Elapsed. Low
 // values mean the phase was dominated by per-step bookkeeping (arrivals,
 // stranding merges, watchdog, OnStep) rather than packet movement.
 func (r RouteResult) WorkerUtilization() float64 {
-	if r.Workers == 0 || r.Elapsed <= 0 {
+	if r.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.WorkerBusy) / (float64(r.Workers) * float64(r.Elapsed))
+	return float64(r.WorkerBusy) / float64(r.Elapsed)
 }
 
 // Throughput bundles the derived wall-clock throughput figures of a
@@ -917,7 +916,6 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 		return res, nil
 	}
 	res.MaxQueue = actQueue
-	res.Workers = 1
 
 	maxSteps := opts.MaxSteps
 	if maxSteps == 0 {
@@ -1588,7 +1586,7 @@ func (st *stepState) step() stepCounts {
 						}
 					} else {
 						var ok bool
-						recv, _, ok = n.Topo.Neighbor(r, l)
+						recv, ok = n.Topo.Neighbor(r, l)
 						if !ok {
 							st.recordErr(r, fmt.Errorf("engine: policy routed packet %d over the edgeless link %d of rank %d on %v", e.id, l, r, n.Topo))
 							continue
@@ -1782,7 +1780,7 @@ func (st *stepState) diagnose(rank int, e pktRef) PacketDiag {
 	// a torus tie both directions — each reduces the ring distance).
 	cur := st.dist(rank, dst)
 	for l := 0; l < n.links; l++ {
-		recv, _, ok := n.Topo.Neighbor(rank, l)
+		recv, ok := n.Topo.Neighbor(rank, l)
 		if !ok || st.dist(recv, dst) >= cur {
 			continue
 		}

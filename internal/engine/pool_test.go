@@ -68,7 +68,6 @@ func TestPoolCloseIdempotent(t *testing.T) {
 // normalizeResult zeroes the wall-clock fields, which are excluded from
 // the determinism guarantee.
 func normalizeResult(r RouteResult) RouteResult {
-	r.Workers = 0
 	r.Elapsed = 0
 	r.WorkerBusy = 0
 	return r

@@ -109,7 +109,7 @@ func referenceRoute(tp topo.Topology, pol Policy, opts RouteOpts, pkts map[int]*
 	diagnose := func(p *refPacket) PacketDiag {
 		d := PacketDiag{ID: p.id, Key: p.key, Rank: p.pos, Dst: p.dst, Dist: tp.Dist(p.pos, p.dst), Waited: p.stall}
 		for l := 0; l < tp.Links(); l++ {
-			if recv, _, ok := tp.Neighbor(p.pos, l); ok && tp.Dist(recv, p.dst) < d.Dist {
+			if recv, ok := tp.Neighbor(p.pos, l); ok && tp.Dist(recv, p.dst) < d.Dist {
 				d.Wants = append(d.Wants, l)
 				if opts.Faults.LinkDown(p.pos, l, clock) {
 					d.Blocked = append(d.Blocked, l)
@@ -242,7 +242,7 @@ func referenceRoute(tp topo.Topology, pol Policy, opts RouteOpts, pkts map[int]*
 					win = p
 				}
 			}
-			recv, _, _ := tp.Neighbor(rl[0], rl[1])
+			recv, _ := tp.Neighbor(rl[0], rl[1])
 			moves = append(moves, move{win, recv})
 			if loads != nil {
 				loads[rl]++
@@ -306,7 +306,7 @@ func (p detourTestPolicy) NextLink(rank, dst, class int) int {
 	links, cur, side := p.tp.Links(), p.tp.Dist(rank, dst), -1
 	for i := 0; i < links; i++ {
 		l := (class + i) % links
-		recv, _, ok := p.tp.Neighbor(rank, l)
+		recv, ok := p.tp.Neighbor(rank, l)
 		if !ok || p.f.PermDown(rank, l) {
 			continue
 		}

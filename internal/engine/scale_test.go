@@ -139,9 +139,8 @@ func TestThroughputLargeCounts(t *testing.T) {
 		Delivered:    8 << 20,       // 4 packets per proc at N = 2M
 		Hops:         6_000_000_000, // > MaxInt32: wraps if any path narrows to 32 bits
 		SumOvershoot: 3_000_000_000, // likewise
-		Workers:      4,
 		Elapsed:      10 * time.Second,
-		WorkerBusy:   30 * time.Second,
+		WorkerBusy:   7500 * time.Millisecond,
 	}
 	if res.Hops != 6_000_000_000 || res.SumOvershoot != 3_000_000_000 {
 		t.Fatal("volume counters narrowed below int64")

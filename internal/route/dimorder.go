@@ -36,7 +36,7 @@ func (p *DimOrder) NextLink(rank, dst, class int) int {
 	}
 	cur := p.tp.Dist(rank, dst)
 	for l := p.tp.Links() - 1; l >= 0; l-- {
-		if recv, _, ok := p.tp.Neighbor(rank, l); ok && p.tp.Dist(recv, dst) < cur {
+		if recv, ok := p.tp.Neighbor(rank, l); ok && p.tp.Dist(recv, dst) < cur {
 			return l
 		}
 	}

@@ -16,7 +16,6 @@ import (
 // normalizeRes zeroes the wall-clock fields of a RouteResult, which are
 // excluded from the determinism guarantee.
 func normalizeRes(r engine.RouteResult) engine.RouteResult {
-	r.Workers = 0
 	r.Elapsed = 0
 	r.WorkerBusy = 0
 	return r

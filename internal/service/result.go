@@ -14,7 +14,8 @@ import (
 
 // Result is the JSON encoding of one completed simulation. It is the
 // wire type of the HTTP API and of cmd/meshsort -json, built from the
-// algorithm packages' result types by the From* constructors below.
+// algorithm packages' result types by Run through the from*
+// constructors below.
 // Everything except the per-phase throughput figures is deterministic
 // in the canonical spec; the cache stores the first run's Result
 // verbatim, so repeated jobs return byte-identical bodies.
@@ -41,6 +42,11 @@ type Result struct {
 	MaxQueue    int `json:"maxQueue"`
 	Stranded    int `json:"stranded,omitempty"`
 	MergeRounds int `json:"mergeRounds,omitempty"`
+
+	// MaxPairDist is the largest distance between paired processors
+	// after the center sort (CopySort and TorusSort; Lemmas 3.3/3.4
+	// bound it near D/2).
+	MaxPairDist int `json:"maxPairDist,omitempty"`
 
 	// Routing (alg=route) extras.
 	Nu          int `json:"nu,omitempty"`
@@ -101,7 +107,9 @@ func TracePhase(ph pipeline.PhaseStat) PhaseTrace {
 	return t
 }
 
-func tracePhases(phases []pipeline.PhaseStat) []PhaseTrace {
+// TracePhases encodes a phase sequence; never nil, so an empty trace
+// encodes as [].
+func TracePhases(phases []pipeline.PhaseStat) []PhaseTrace {
 	out := make([]PhaseTrace, len(phases))
 	for i, ph := range phases {
 		out[i] = TracePhase(ph)
@@ -135,12 +143,12 @@ func KeySum(keys []int64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// FromSort encodes a sorting run (SimpleSort, CopySort, TorusSort,
+// fromSort encodes a sorting run (SimpleSort, CopySort, TorusSort,
 // FullSort). It also encodes partial runs (cancelled, timed out, or
 // degraded mid-program): the phase prefix and clock are real, Sorted is
 // false, and KeySum is omitted — a digest of a half-routed key placement
 // would be noise masquerading as a witness.
-func FromSort(res core.Result) Result {
+func fromSort(res core.Result) Result {
 	s := res.Config.Shape
 	keySum := ""
 	if res.Sorted {
@@ -160,13 +168,14 @@ func FromSort(res core.Result) Result {
 		MaxQueue:    res.MaxQueue,
 		Stranded:    res.Stranded,
 		MergeRounds: res.MergeRounds,
+		MaxPairDist: res.MaxPairDist,
 		KeySum:      keySum,
-		Phases:      tracePhases(res.Phases),
+		Phases:      TracePhases(res.Phases),
 	}
 }
 
-// FromRouteAlg encodes a two-phase routing run.
-func FromRouteAlg(res core.RouteAlgResult, shape grid.Shape) Result {
+// fromRouteAlg encodes a two-phase routing run.
+func fromRouteAlg(res core.RouteAlgResult, shape grid.Shape) Result {
 	return Result{
 		Algorithm:   res.Algorithm,
 		Shape:       shape.String(),
@@ -181,47 +190,38 @@ func FromRouteAlg(res core.RouteAlgResult, shape grid.Shape) Result {
 		Stranded:    res.Stranded,
 		Nu:          res.Nu,
 		EffectiveNu: res.EffectiveNu,
-		Phases:      tracePhases(res.Phases),
+		Phases:      TracePhases(res.Phases),
 	}
 }
 
-// FromCliqueRoute encodes a direct greedy k-relation run on the
-// congested clique. Bound is k: every node has a direct link to every
-// other, so greedy direct routing delivers a k-relation in at most k
-// steps (each directed link carries at most k packets, one per step) —
-// the congested-clique analogue of the mesh theorems' D + o(n).
-func FromCliqueRoute(res engine.RouteResult, tot pipeline.Totals, c *topo.Clique, k int, delivered bool) Result {
-	return Result{
-		Algorithm:  "CliqueGreedyRoute",
-		Shape:      c.String(),
-		N:          c.N(),
-		Diameter:   c.Diameter(),
-		Delivered:  delivered,
-		Bound:      k,
-		TotalSteps: tot.TotalSteps,
-		RouteSteps: tot.RouteSteps,
-		MaxQueue:   res.MaxQueue,
-		Stranded:   len(res.Stranded),
-		Phases:     tracePhases(tot.Phases),
-	}
-}
-
-// FromTraffic encodes a timed traffic run (alg=traffic): direct greedy
-// routing of a scheduled demand, measured by its sojourn distribution.
-// There is no theorem bound to record — the latency percentiles are the
-// result — so Bound stays 0.
-func FromTraffic(res engine.RouteResult, tot pipeline.Totals, shape grid.Shape, delivered bool) Result {
+// fromGreedy encodes a direct greedy routing run on the runner:
+// alg=cliqueroute, whose Bound is k (every node has a direct link to
+// every other, so a k-relation is delivered in at most k steps — the
+// congested-clique analogue of the mesh theorems' D + o(n)), and
+// alg=traffic, which has no theorem bound (its sojourn percentiles are
+// the result). Delivered means the run finished with every packet
+// resting at its destination; a stranded packet is held wherever its
+// patience ran out.
+func fromGreedy(alg string, tp topo.Topology, bound int, res engine.RouteResult, tot pipeline.Totals, net *engine.Net, err error) Result {
 	r := Result{
-		Algorithm:  "TrafficRoute",
-		Shape:      shape.String(),
-		N:          shape.N(),
-		Diameter:   shape.Diameter(),
-		Delivered:  delivered,
+		Algorithm:  alg,
+		Shape:      tp.String(),
+		N:          tp.N(),
+		Diameter:   tp.Diameter(),
+		Delivered:  err == nil,
+		Bound:      bound,
 		TotalSteps: tot.TotalSteps,
 		RouteSteps: tot.RouteSteps,
 		MaxQueue:   res.MaxQueue,
 		Stranded:   len(res.Stranded),
-		Phases:     tracePhases(tot.Phases),
+		Phases:     TracePhases(tot.Phases),
+	}
+	if r.Delivered {
+		net.ForEachHeld(func(rank int, p *engine.Packet) {
+			if p.Dst != rank {
+				r.Delivered = false
+			}
+		})
 	}
 	if res.Sojourn.Count > 0 {
 		soj := res.Sojourn
@@ -230,8 +230,8 @@ func FromTraffic(res engine.RouteResult, tot pipeline.Totals, shape grid.Shape, 
 	return r
 }
 
-// FromSelect encodes a selection run.
-func FromSelect(res core.SelectResult, shape grid.Shape) Result {
+// fromSelect encodes a selection run.
+func fromSelect(res core.SelectResult, shape grid.Shape) Result {
 	return Result{
 		Algorithm:   res.Algorithm,
 		Shape:       shape.String(),
@@ -246,6 +246,6 @@ func FromSelect(res core.SelectResult, shape grid.Shape) Result {
 		Target:      res.Target,
 		Value:       res.Value,
 		Candidates:  res.Candidates,
-		Phases:      tracePhases(res.Phases),
+		Phases:      TracePhases(res.Phases),
 	}
 }

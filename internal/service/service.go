@@ -146,19 +146,17 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // finish moves the job to a terminal state exactly once; the false
 // return tells racing finishers (worker vs Cancel vs deadline) they
-// lost.
+// lost. The winner closes done (see Service.finishJob).
 func (j *Job) finish(status string, res *Result, err error) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if terminalStatus(j.status) {
-		j.mu.Unlock()
 		return false
 	}
 	j.status = status
 	j.result = res
 	j.err = err
 	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
 	return true
 }
 
@@ -454,6 +452,9 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 // via (*Job).Done; cancel via Cancel.
 func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (*Job, error) {
 	canon, err := spec.Canonicalize()
+	if err == nil {
+		err = admit(canon)
+	}
 	if err != nil {
 		s.rejected.Add(1)
 		return nil, &SpecError{Err: err}
@@ -656,13 +657,7 @@ func (s *Service) runJob(job *Job) {
 		return
 	}
 
-	prog, err := compile(job.Spec)
-	if err != nil {
-		s.finishJob(job, StatusFailed, nil, err)
-		return
-	}
-
-	res, runErr, panicked := s.runOnSlot(job, prog)
+	res, runErr, panicked := s.runOnSlot(job)
 	if panicked {
 		s.panicked.Add(1)
 		s.finishJob(job, StatusFailed, nil, runErr)
@@ -683,12 +678,12 @@ func (s *Service) runJob(job *Job) {
 	s.finishJob(job, StatusDone, &res, nil)
 }
 
-// runOnSlot leases a runner slot, applies chaos injection, and executes
-// the program. A panic anywhere in that scope — policy code, local
+// runOnSlot leases a runner slot, applies chaos injection, and runs
+// the job's spec on it. A panic anywhere in that scope — policy code, local
 // phases, injected chaos — is converted into an error with the captured
 // stack, and the poisoned slot is quarantined (rebuilt cold on its next
 // lease) instead of being released for reuse. The process never exits.
-func (s *Service) runOnSlot(job *Job, prog program) (res Result, err error, panicked bool) {
+func (s *Service) runOnSlot(job *Job) (res Result, err error, panicked bool) {
 	slot := s.pool.acquire(job.Spec.ShapeKey(), job.Spec.Topo())
 	quarantined := false
 	defer func() {
@@ -707,7 +702,7 @@ func (s *Service) runOnSlot(job *Job, prog program) (res Result, err error, pani
 		s.beforeRun(job, slot)
 	}
 	s.simulations.Add(1)
-	res, err = prog.run(job.ctx, slot.runner, slot.pool)
+	res, err = Run(job.ctx, job.Spec, slot.runner, slot.pool, nil, false)
 	if s.afterRun != nil {
 		s.afterRun(job, slot)
 	}
@@ -777,6 +772,9 @@ func (s *Service) finishJob(j *Job, status string, res *Result, err error) {
 	if d := j.runDuration(); d > 0 {
 		s.rate.observe(d)
 	}
+	// Close done only now, so a waiter that reads Metrics sees this job
+	// counted and its quota slot released.
+	close(j.done)
 	rec := journalRecord{Op: status, ID: j.ID, Error: ""}
 	if err != nil {
 		rec.Error = err.Error()

@@ -1,15 +1,18 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
 	"testing"
 
 	"meshsort/internal/core"
+	"meshsort/internal/pipeline"
 )
 
 // expectedKeySum computes the reference digest for a sorting spec: the
@@ -352,4 +355,49 @@ func TestMetricsShapeCounters(t *testing.T) {
 			m.ColdBuilds, m.WarmLeases, m.Repurposed, m.Simulations)
 	}
 	_ = fmt.Sprintf("%+v", m)
+}
+
+// TestRunSettingsKeepResult: the observer and the paranoid checker are
+// run settings — the observer sees every phase the Result reports, and
+// neither changes the Result.
+func TestRunSettingsKeepResult(t *testing.T) {
+	for _, spec := range []JobSpec{
+		{Alg: AlgSimple, D: 2, N: 8, Faults: 0.05},
+		{Alg: AlgRoute, D: 2, N: 8},
+		{Alg: AlgTraffic, D: 2, N: 8, Load: "k:2"},
+		{Alg: AlgCliqueRoute, N: 16, K: 2},
+	} {
+		spec := mustCanon(t, spec)
+		run := func(obs pipeline.Observer, paranoid bool) Result {
+			runner := pipeline.New(pipeline.Config{Topo: spec.Topo()})
+			res, err := Run(context.Background(), spec, runner, nil, obs, paranoid)
+			if err != nil {
+				t.Fatalf("%s: %v", spec.Alg, err)
+			}
+			for i := range res.Phases {
+				res.Phases[i].StepsPerSec, res.Phases[i].PacketsPerStep, res.Phases[i].WorkerUtil = 0, 0, 0
+			}
+			return res
+		}
+		var seen []string
+		plain := run(nil, false)
+		checked := run(func(ph pipeline.PhaseStat) { seen = append(seen, ph.Name) }, true)
+		if !reflect.DeepEqual(plain, checked) {
+			t.Errorf("%s: observer/paranoid changed the result:\n  %+v\n  %+v", spec.Alg, plain, checked)
+		}
+		if len(seen) != len(plain.Phases) {
+			t.Errorf("%s: observer saw %d phases, result reports %d", spec.Alg, len(seen), len(plain.Phases))
+		}
+	}
+}
+
+func TestTracePhases(t *testing.T) {
+	in := []pipeline.PhaseStat{{Name: "a", Kind: "route", Steps: 3, Bound: 5}}
+	out := TracePhases(in)
+	if len(out) != 1 || out[0].Name != "a" || out[0].Bound != 5 {
+		t.Errorf("TracePhases: %+v", out)
+	}
+	if empty, _ := json.Marshal(TracePhases(nil)); string(empty) != "[]" {
+		t.Errorf("empty trace encodes as %s, want []", empty)
+	}
 }

@@ -5,12 +5,13 @@
 // shape, block side, packets per processor, seed, fault plan). Specs are
 // canonicalized — defaults filled in, fields validated — so that two
 // requests for the same simulation share one canonical form and one
-// cache key. The Service compiles a spec to a phase program, leases a
-// warm runner keyed by network shape (same-shape jobs hit Runner.Reset
-// instead of reallocating), and serves repeated specs from a sharded
-// LRU result cache without re-simulating. Admission is bounded: when
-// the queue is full Submit returns ErrOverloaded instead of queuing
-// unboundedly. See DESIGN.md §6.
+// cache key. The Service leases a warm runner keyed by network shape
+// (same-shape jobs hit Runner.Reset instead of reallocating), executes
+// the spec on it with Run — the same entry point cmd/meshsort calls —
+// and serves repeated specs from a sharded LRU result cache without
+// re-simulating. Admission is bounded: when the queue is full Submit
+// returns ErrOverloaded instead of queuing unboundedly, and admit holds
+// specs to the resource ceilings. See DESIGN.md §6.
 package service
 
 import (
@@ -19,6 +20,7 @@ import (
 	"fmt"
 
 	"meshsort/internal/core"
+	"meshsort/internal/engine"
 	"meshsort/internal/grid"
 	"meshsort/internal/topo"
 	"meshsort/internal/traffic"
@@ -58,12 +60,14 @@ const (
 	IndexingNone         = "none"
 )
 
-// Resource ceilings enforced at canonicalization, so a single request
-// cannot ask the service to build an arbitrarily large network. The
-// processor ceiling admits a full 64^3 mesh: with per-job deadlines and
-// cancellation (DeadlineMS, DELETE /v1/jobs/{id}) a large job can no
-// longer wedge a runner slot indefinitely, so the admission ceiling is
-// a memory bound, not a runtime bound.
+// Resource ceilings, enforced when the service admits a job (admit) so a
+// single request cannot ask a shared server to build an arbitrarily
+// large network. They do not define which specs are valid: Canonicalize
+// checks only MaxDim and MaxDeadlineMS, and cmd/meshsort runs larger
+// specs. The processor ceiling admits a full 64^3 mesh: with per-job
+// deadlines and cancellation (DeadlineMS, DELETE /v1/jobs/{id}) a large
+// job can no longer wedge a runner slot indefinitely, so the admission
+// ceiling is a memory bound, not a runtime bound.
 const (
 	MaxDim        = 6
 	MaxSide       = 64
@@ -106,8 +110,8 @@ type JobSpec struct {
 	N        int    `json:"n"`               // side length (clique: node count)
 	Torus    bool   `json:"torus,omitempty"` // torus instead of mesh (forced by torussort)
 
-	// B is the block side length; 0 picks the default: 4 when it divides
-	// n, else n/2.
+	// B is the block side length; 0 picks DefaultBlockSide: 4 when it
+	// divides n, else n/2.
 	B int `json:"b,omitempty"`
 	// K is the number of packets per processor (k-k sorting for simple,
 	// the k-relation multiplicity for cliqueroute); 0 means 1.
@@ -154,11 +158,18 @@ type JobSpec struct {
 	// simulation computes, so equal specs with different deadlines share
 	// one cached result.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
+
+	// RealLocalSort and AltEstimator are core.Config's knobs of the same
+	// names (cmd/meshsort -real, -alt), for the sorting algorithms and
+	// select only. Both change the result, so both are part of the Key.
+	RealLocalSort bool `json:"realLocalSort,omitempty"`
+	AltEstimator  bool `json:"altEstimator,omitempty"`
 }
 
 // Canonicalize validates the spec and returns it with every default
 // made explicit. The returned spec is what the service runs, hashes,
-// and reports back; Canonicalize is idempotent.
+// and reports back; Canonicalize is idempotent. The resource ceilings
+// are admit's, not Canonicalize's.
 func (s JobSpec) Canonicalize() (JobSpec, error) {
 	switch s.Alg {
 	case AlgSimple, AlgCopy, AlgTorusSort, AlgFull, AlgRoute, AlgSelect, AlgCliqueRoute, AlgTraffic:
@@ -185,9 +196,83 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 	} else if s.Topology == TopologyClique {
 		return s, fmt.Errorf("service: alg %s runs on meshes and tori; the clique workload is alg=cliqueroute", s.Alg)
 	}
-	if s.Topology == TopologyClique {
-		return s.canonicalizeClique()
+	if s.K == 0 {
+		s.K = 1
 	}
+	if s.K < 0 {
+		return s, fmt.Errorf("service: k=%d out of range (k must be >= 1)", s.K)
+	}
+	var err error
+	if s.Topology == TopologyClique {
+		s, err = s.canonicalizeClique()
+	} else {
+		s, err = s.canonicalizeGrid()
+	}
+	if err != nil {
+		return s, err
+	}
+
+	// Checks shared by every topology.
+	n := s.N
+	if s.Topology != TopologyClique {
+		n = s.Shape().N()
+	}
+	if s.K > engine.MaxPackets/n {
+		return s, fmt.Errorf("service: k=%d: k*N exceeds the engine's %d-packet capacity", s.K, engine.MaxPackets)
+	}
+	if s.Seed == 0 {
+		s.Seed = 1
+	}
+	if s.Alg == AlgSelect {
+		if s.Target == 0 {
+			s.Target = n / 2
+		}
+		if s.Target < 0 || s.Target >= n {
+			return s, fmt.Errorf("service: target rank %d out of range [0,%d)", s.Target, n)
+		}
+	} else if s.Target != 0 {
+		return s, fmt.Errorf("service: target applies to alg=select only")
+	}
+	if s.Alg == AlgTraffic {
+		ld, err := traffic.ParseLoad(s.Load)
+		if err != nil {
+			return s, fmt.Errorf("service: %w", err)
+		}
+		sc, err := traffic.ParseSchedule(s.Inject)
+		if err != nil {
+			return s, fmt.Errorf("service: %w", err)
+		}
+		// Canonical DSL forms, so equivalent spellings ("k:4" vs "k:k=4")
+		// share one cache key.
+		s.Load = ld.String()
+		s.Inject = sc.String()
+	} else if s.Load != "" || s.Inject != "" {
+		return s, fmt.Errorf("service: load and inject apply to alg=traffic only")
+	}
+	if s.DeadlineMS < 0 || s.DeadlineMS > MaxDeadlineMS {
+		return s, fmt.Errorf("service: deadline_ms=%d out of range [0,%d]", s.DeadlineMS, MaxDeadlineMS)
+	}
+	if s.Faults < 0 || s.Faults >= 1 {
+		return s, fmt.Errorf("service: fault rate %g out of range [0,1)", s.Faults)
+	}
+	if s.Faults == 0 {
+		s.FaultSeed = 0 // no plan: the seed is not part of the canonical form
+	} else if s.FaultSeed == 0 {
+		s.FaultSeed = 1
+	}
+	switch s.Alg {
+	case AlgSimple, AlgCopy, AlgTorusSort, AlgFull, AlgSelect:
+	default:
+		if s.RealLocalSort || s.AltEstimator {
+			return s, fmt.Errorf("service: realLocalSort and altEstimator apply to the sorting algorithms and select, not alg=%s", s.Alg)
+		}
+	}
+	return s, nil
+}
+
+// canonicalizeGrid validates the mesh/torus part of a spec (every alg
+// but cliqueroute): shape, block side, k, indexing and perm.
+func (s JobSpec) canonicalizeGrid() (JobSpec, error) {
 	if s.Alg == AlgTorusSort {
 		s.Torus = true
 	}
@@ -207,15 +292,8 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 	if s.D < 1 || s.D > MaxDim {
 		return s, fmt.Errorf("service: dimension d=%d out of range [1,%d]", s.D, MaxDim)
 	}
-	if s.N < 2 || s.N > MaxSide {
-		return s, fmt.Errorf("service: side n=%d out of range [2,%d]", s.N, MaxSide)
-	}
-	n := 1
-	for i := 0; i < s.D; i++ {
-		n *= s.N
-		if n > MaxProcessors {
-			return s, fmt.Errorf("service: n^d = %d^%d exceeds the %d-processor ceiling", s.N, s.D, MaxProcessors)
-		}
+	if err := engine.CheckCapacity(grid.Shape{Dim: s.D, Side: s.N, Torus: s.Torus}); err != nil {
+		return s, fmt.Errorf("service: %w", err)
 	}
 	if s.Alg == AlgCopy && s.Torus {
 		return s, fmt.Errorf("service: copy is the mesh algorithm; use torussort on tori")
@@ -228,21 +306,11 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 		}
 	} else {
 		if s.B == 0 {
-			if s.N%4 == 0 {
-				s.B = 4
-			} else {
-				s.B = s.N / 2
-			}
+			s.B = DefaultBlockSide(s.N)
 		}
 		if s.B < 1 || s.N%s.B != 0 {
 			return s, fmt.Errorf("service: block side b=%d must divide n=%d", s.B, s.N)
 		}
-	}
-	if s.K == 0 {
-		s.K = 1
-	}
-	if s.K < 0 || s.K*n > MaxPackets {
-		return s, fmt.Errorf("service: k=%d out of range (k*N must be in [1,%d])", s.K, MaxPackets)
 	}
 	if s.K > 1 && s.Alg != AlgSimple {
 		if s.Alg == AlgTraffic {
@@ -266,9 +334,6 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 			return s, fmt.Errorf("service: unknown indexing %q (the algorithms run on %q)", s.Indexing, IndexingBlockedSnake)
 		}
 	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
 	if s.Alg == AlgRoute {
 		switch s.Perm {
 		case "":
@@ -279,66 +344,6 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 		}
 	} else if s.Perm != "" {
 		return s, fmt.Errorf("service: perm applies to alg=route only")
-	}
-	if s.Alg == AlgTraffic {
-		ld, err := traffic.ParseLoad(s.Load)
-		if err != nil {
-			return s, fmt.Errorf("service: %w", err)
-		}
-		// Admission ceiling: a node sends at most one packet per demand
-		// slot, so total packets are bounded by n times the per-node send
-		// multiplicity (1 for the 1-1 family, k resp. ℓ otherwise).
-		per := 1
-		switch ld.Demand {
-		case traffic.KRelation:
-			per = ld.K
-		case traffic.LKRelation:
-			per = ld.L
-		}
-		if per*n > MaxPackets {
-			return s, fmt.Errorf("service: load %q injects up to %d packets, over the %d ceiling", s.Load, per*n, MaxPackets)
-		}
-		sc, err := traffic.ParseSchedule(s.Inject)
-		if err != nil {
-			return s, fmt.Errorf("service: %w", err)
-		}
-		horizon := int64(0)
-		switch sc.Arrival {
-		case traffic.Window:
-			horizon = int64(sc.Span)
-		case traffic.Trickle:
-			horizon = int64(float64(per*n-1) / sc.Rate)
-		}
-		if horizon > MaxInjectHorizon {
-			return s, fmt.Errorf("service: inject %q schedules arrivals out to step %d, over the %d-step horizon", s.Inject, horizon, MaxInjectHorizon)
-		}
-		// Canonical DSL forms, so equivalent spellings ("k:4" vs "k:k=4")
-		// share one cache key.
-		s.Load = ld.String()
-		s.Inject = sc.String()
-	} else if s.Load != "" || s.Inject != "" {
-		return s, fmt.Errorf("service: load and inject apply to alg=traffic only")
-	}
-	if s.Alg == AlgSelect {
-		if s.Target == 0 {
-			s.Target = n / 2
-		}
-		if s.Target < 0 || s.Target >= n {
-			return s, fmt.Errorf("service: target rank %d out of range [0,%d)", s.Target, n)
-		}
-	} else if s.Target != 0 {
-		return s, fmt.Errorf("service: target applies to alg=select only")
-	}
-	if s.DeadlineMS < 0 || s.DeadlineMS > MaxDeadlineMS {
-		return s, fmt.Errorf("service: deadline_ms=%d out of range [0,%d]", s.DeadlineMS, MaxDeadlineMS)
-	}
-	if s.Faults < 0 || s.Faults >= 1 {
-		return s, fmt.Errorf("service: fault rate %g out of range [0,1)", s.Faults)
-	}
-	if s.Faults == 0 {
-		s.FaultSeed = 0 // no plan: the seed is not part of the canonical form
-	} else if s.FaultSeed == 0 {
-		s.FaultSeed = 1
 	}
 	// The sorting algorithms have divisibility constraints beyond the
 	// ones above (even block count, block volume divisible by block
@@ -352,11 +357,10 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 	return s, nil
 }
 
-// canonicalizeClique validates a clique spec (alg=cliqueroute; the
-// caller has already resolved Topology to "clique"). The mesh-only
-// fields — Torus, B, a blocked indexing, the mesh destination patterns,
-// a selection target — have no clique meaning and are rejected rather
-// than silently ignored.
+// canonicalizeClique validates the clique part of a spec
+// (alg=cliqueroute). The mesh-only fields — Torus, B, a blocked
+// indexing, the mesh destination patterns — have no clique meaning and
+// are rejected rather than silently ignored.
 func (s JobSpec) canonicalizeClique() (JobSpec, error) {
 	if s.Torus {
 		return s, fmt.Errorf("service: the clique has no torus variant")
@@ -365,17 +369,14 @@ func (s JobSpec) canonicalizeClique() (JobSpec, error) {
 		return s, fmt.Errorf("service: clique dimension d=%d (the clique is flat; omit d or use 1)", s.D)
 	}
 	s.D = 1
-	if s.N < 2 || s.N > MaxCliqueNodes {
-		return s, fmt.Errorf("service: clique size n=%d out of range [2,%d]", s.N, MaxCliqueNodes)
+	if s.N < 2 {
+		return s, fmt.Errorf("service: clique size n=%d out of range (n >= 2)", s.N)
+	}
+	if err := engine.CheckTopology(topo.NewClique(s.N)); err != nil {
+		return s, fmt.Errorf("service: %w", err)
 	}
 	if s.B != 0 {
 		return s, fmt.Errorf("service: block side applies to mesh/torus algorithms only")
-	}
-	if s.K == 0 {
-		s.K = 1
-	}
-	if s.K < 0 || s.K > MaxCliqueK {
-		return s, fmt.Errorf("service: clique relation k=%d out of range [1,%d]", s.K, MaxCliqueK)
 	}
 	switch s.Indexing {
 	case "":
@@ -384,9 +385,6 @@ func (s JobSpec) canonicalizeClique() (JobSpec, error) {
 	default:
 		return s, fmt.Errorf("service: indexing %q has no meaning on the clique", s.Indexing)
 	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
 	switch s.Perm {
 	case "":
 		s.Perm = "random"
@@ -394,24 +392,83 @@ func (s JobSpec) canonicalizeClique() (JobSpec, error) {
 	default:
 		return s, fmt.Errorf("service: clique perm %q (the destination patterns are mesh notions; the clique workload is a random k-relation)", s.Perm)
 	}
-	if s.Target != 0 {
-		return s, fmt.Errorf("service: target applies to alg=select only")
-	}
-	if s.Load != "" || s.Inject != "" {
-		return s, fmt.Errorf("service: load and inject apply to alg=traffic only")
-	}
-	if s.DeadlineMS < 0 || s.DeadlineMS > MaxDeadlineMS {
-		return s, fmt.Errorf("service: deadline_ms=%d out of range [0,%d]", s.DeadlineMS, MaxDeadlineMS)
-	}
-	if s.Faults < 0 || s.Faults >= 1 {
-		return s, fmt.Errorf("service: fault rate %g out of range [0,1)", s.Faults)
-	}
-	if s.Faults == 0 {
-		s.FaultSeed = 0
-	} else if s.FaultSeed == 0 {
-		s.FaultSeed = 1
-	}
 	return s, nil
+}
+
+// admit enforces the resource ceilings on a canonical spec. They protect
+// a shared server, not the meaning of a spec, so Service.Submit runs
+// admit after Canonicalize while cmd/meshsort runs larger specs.
+func admit(s JobSpec) error {
+	if s.Topology == TopologyClique {
+		if s.N > MaxCliqueNodes {
+			return fmt.Errorf("service: clique size n=%d out of range [2,%d]", s.N, MaxCliqueNodes)
+		}
+		if s.K > MaxCliqueK {
+			return fmt.Errorf("service: clique relation k=%d out of range [1,%d]", s.K, MaxCliqueK)
+		}
+		return nil
+	}
+	if s.N > MaxSide {
+		return fmt.Errorf("service: side n=%d out of range [2,%d]", s.N, MaxSide)
+	}
+	n := s.Shape().N()
+	if n > MaxProcessors {
+		return fmt.Errorf("service: n^d = %d^%d exceeds the %d-processor ceiling", s.N, s.D, MaxProcessors)
+	}
+	if s.K > MaxPackets/n {
+		return fmt.Errorf("service: k=%d out of range (k*N must be in [1,%d])", s.K, MaxPackets)
+	}
+	if s.Alg != AlgTraffic {
+		return nil
+	}
+	// Canonical DSL strings: they parse.
+	ld, _ := traffic.ParseLoad(s.Load)
+	sc, _ := traffic.ParseSchedule(s.Inject)
+	// A node sends at most one packet per demand slot, so total packets
+	// are bounded by n times the per-node send multiplicity (1 for the
+	// 1-1 family, k resp. ℓ otherwise).
+	per := 1
+	switch ld.Demand {
+	case traffic.KRelation:
+		per = ld.K
+	case traffic.LKRelation:
+		per = ld.L
+	}
+	if per > MaxPackets/n {
+		return fmt.Errorf("service: load %q injects up to %d packets, over the %d ceiling", s.Load, int64(per)*int64(n), MaxPackets)
+	}
+	horizon := int64(0)
+	switch sc.Arrival {
+	case traffic.Window:
+		horizon = int64(sc.Span)
+	case traffic.Trickle:
+		horizon = int64(float64(per*n-1) / sc.Rate)
+	}
+	if horizon > MaxInjectHorizon {
+		return fmt.Errorf("service: inject %q schedules arrivals out to step %d, over the %d-step horizon", s.Inject, horizon, MaxInjectHorizon)
+	}
+	return nil
+}
+
+// DefaultBlockSide is the block side a spec with b=0 runs on: 4 when it
+// divides n, else n/2.
+func DefaultBlockSide(n int) int {
+	if n%4 == 0 {
+		return 4
+	}
+	return n / 2
+}
+
+// FaultPlan builds the spec's seeded random fault plan, or returns nil
+// for a perfect network (faults=0).
+func (s JobSpec) FaultPlan() *engine.FaultPlan {
+	if s.Faults <= 0 {
+		return nil
+	}
+	if s.Topology == TopologyClique {
+		return engine.RandomFaultPlanTopo(s.Topo(), s.Faults, s.FaultSeed)
+	}
+	return engine.RandomFaultPlan(s.Shape(), s.Faults, s.FaultSeed)
 }
 
 // Shape returns the network shape of a mesh or torus spec. It is
@@ -424,8 +481,8 @@ func (s JobSpec) Shape() grid.Shape {
 	return grid.New(s.D, s.N)
 }
 
-// Topo returns the network topology the spec runs on: the runner
-// leasing and the compiled program both build from it.
+// Topo returns the network topology the spec runs on: runner leasing
+// and the CLI's runner both build from it.
 func (s JobSpec) Topo() topo.Topology {
 	if s.Topology == TopologyClique || s.Alg == AlgCliqueRoute {
 		return topo.NewClique(s.N)
@@ -450,8 +507,17 @@ func (s JobSpec) ShapeKey() string {
 // The spec must already be canonical (Key on a non-canonical spec would
 // hash defaults as distinct from their explicit forms).
 func (s JobSpec) Key() string {
-	h := sha256.Sum256([]byte(fmt.Sprintf(
+	key := fmt.Sprintf(
 		"alg=%s topo=%s d=%d n=%d torus=%t b=%d k=%d idx=%s seed=%d perm=%s load=%s inject=%s target=%d faults=%g fseed=%d patience=%d",
-		s.Alg, s.Topology, s.D, s.N, s.Torus, s.B, s.K, s.Indexing, s.Seed, s.Perm, s.Load, s.Inject, s.Target, s.Faults, s.FaultSeed, s.Patience)))
+		s.Alg, s.Topology, s.D, s.N, s.Torus, s.B, s.K, s.Indexing, s.Seed, s.Perm, s.Load, s.Inject, s.Target, s.Faults, s.FaultSeed, s.Patience)
+	// Appended only when set, so the keys of specs without them (and the
+	// journals and caches holding those keys) stay as they were.
+	if s.RealLocalSort {
+		key += " real"
+	}
+	if s.AltEstimator {
+		key += " alt"
+	}
+	h := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(h[:])
 }

@@ -46,7 +46,7 @@ func TestTrafficSpecCanonicalize(t *testing.T) {
 		{Alg: AlgTraffic, D: 2, N: 8, Topology: TopologyClique, Load: "k:2"},    // traffic runs on grids
 		{Alg: AlgTraffic, D: 2, N: 8, Load: "lk:l=2,k=4", Inject: "trickle:-1"}, // bad rate
 	} {
-		if _, err := bad.Canonicalize(); err == nil {
+		if err := admitSpec(bad); err == nil {
 			t.Errorf("spec %+v accepted", bad)
 		}
 	}

@@ -13,12 +13,6 @@ import "fmt"
 //
 //	l   when l <  r
 //	l+1 when l >= r
-//
-// The slot at the receiver t is the receiver's own link id for the
-// sender (r with t skipped), which makes Reverse and the slot mapping
-// the same function: the directed edge r->t delivers into exactly the
-// slot whose back-link returns to r, so (recv, slot) is unique per edge
-// and SlotSender is pure arithmetic.
 type Clique struct {
 	n int
 }
@@ -54,32 +48,24 @@ func (c *Clique) LinkTo(rank, dst int) int {
 }
 
 // Neighbor implements Topology.
-func (c *Clique) Neighbor(rank, link int) (recv, slot int, ok bool) {
+func (c *Clique) Neighbor(rank, link int) (recv int, ok bool) {
 	if link < 0 || link >= c.n-1 {
+		return 0, false
+	}
+	if link >= rank {
+		return link + 1, true
+	}
+	return link, true
+}
+
+// Reverse implements Topology: the back-link is the neighbor's link id
+// for rank.
+func (c *Clique) Reverse(rank, link int) (recv, backLink int, ok bool) {
+	recv, ok = c.Neighbor(rank, link)
+	if !ok {
 		return 0, 0, false
 	}
-	recv = link
-	if link >= rank {
-		recv = link + 1
-	}
 	return recv, c.LinkTo(recv, rank), true
-}
-
-// SlotSender implements Topology: the slot is the receiver's link id for
-// the sender, so the sender is the slot's neighbor and the sender's link
-// points back at the receiver.
-func (c *Clique) SlotSender(recv, slot int) (sender, senderLink int) {
-	sender = slot
-	if slot >= recv {
-		sender = slot + 1
-	}
-	return sender, c.LinkTo(sender, recv)
-}
-
-// Reverse implements Topology. For the clique the back-link equals the
-// slot by construction.
-func (c *Clique) Reverse(rank, link int) (recv, backLink int, ok bool) {
-	return c.Neighbor(rank, link)
 }
 
 // Dist implements Topology: 0 or 1.

@@ -9,7 +9,7 @@ import (
 
 // conformanceCases are the topologies every contract test runs against:
 // meshes and tori across dimensions (including the side-2 torus whose
-// doubled edges stress slot uniqueness) and cliques down to the minimal
+// doubled edges stress Reverse pairing) and cliques down to the minimal
 // two-node instance.
 func conformanceCases() []Topology {
 	return []Topology{
@@ -26,8 +26,7 @@ func conformanceCases() []Topology {
 }
 
 // TestNeighborContract checks the link-identity core of the interface:
-// slots stay in range, (recv, slot) is unique per directed edge,
-// SlotSender inverts the slot mapping, Reverse pairs each directed edge
+// Neighbor reaches a valid other rank, Reverse pairs each directed edge
 // with a mutual opposite, and Degree counts exactly the ok links.
 func TestNeighborContract(t *testing.T) {
 	for _, tp := range conformanceCases() {
@@ -36,11 +35,10 @@ func TestNeighborContract(t *testing.T) {
 			if links < 1 {
 				t.Fatalf("Links() = %d", links)
 			}
-			seen := make(map[[2]int][2]int) // (recv, slot) -> (rank, link)
 			for rank := 0; rank < n; rank++ {
 				deg := 0
 				for link := 0; link < links; link++ {
-					recv, slot, ok := tp.Neighbor(rank, link)
+					recv, ok := tp.Neighbor(rank, link)
 					if !ok {
 						continue
 					}
@@ -48,22 +46,6 @@ func TestNeighborContract(t *testing.T) {
 					if recv < 0 || recv >= n || recv == rank {
 						t.Fatalf("Neighbor(%d, %d) reaches invalid rank %d", rank, link, recv)
 					}
-					if slot < 0 || slot >= links {
-						t.Fatalf("Neighbor(%d, %d) slot %d out of [0,%d)", rank, link, slot, links)
-					}
-					key := [2]int{recv, slot}
-					if prev, dup := seen[key]; dup {
-						t.Fatalf("slot collision: edges %v and (%d,%d) both deliver into (recv=%d, slot=%d)",
-							prev, rank, link, recv, slot)
-					}
-					seen[key] = [2]int{rank, link}
-
-					sender, senderLink := tp.SlotSender(recv, slot)
-					if sender != rank || senderLink != link {
-						t.Fatalf("SlotSender(%d, %d) = (%d, %d), want (%d, %d)",
-							recv, slot, sender, senderLink, rank, link)
-					}
-
 					rrecv, back, rok := tp.Reverse(rank, link)
 					if !rok || rrecv != recv {
 						t.Fatalf("Reverse(%d, %d) = (%d, %d, %t), want recv %d", rank, link, rrecv, back, rok, recv)
@@ -96,7 +78,7 @@ func bfsDist(tp Topology, src int) []int {
 		r := queue[0]
 		queue = queue[1:]
 		for l := 0; l < links; l++ {
-			if nb, _, ok := tp.Neighbor(r, l); ok && dist[nb] < 0 {
+			if nb, ok := tp.Neighbor(r, l); ok && dist[nb] < 0 {
 				dist[nb] = dist[r] + 1
 				queue = append(queue, nb)
 			}
@@ -136,23 +118,18 @@ func TestDistMatchesBFS(t *testing.T) {
 	}
 }
 
-// TestMeshSlotIsSenderLink pins the mesh's inbox-slot convention — the
-// slot is the sender's own link id — which the engine's inline fast path
-// assumes when it writes inbox[recv*links+l] directly.
-func TestMeshSlotIsSenderLink(t *testing.T) {
+// TestMeshNeighborMatchesStep pins the mesh's link encoding (dim*2 +
+// dirBit) against grid.Shape.Step, the coordinate arithmetic the
+// engine's inline mesh path uses instead of Neighbor.
+func TestMeshNeighborMatchesStep(t *testing.T) {
 	for _, s := range []grid.Shape{grid.New(2, 4), grid.NewTorus(3, 3), grid.NewTorus(2, 2)} {
 		m := NewMesh(s)
 		for rank := 0; rank < m.N(); rank++ {
 			for link := 0; link < m.Links(); link++ {
-				recv, slot, ok := m.Neighbor(rank, link)
-				if !ok {
-					continue
-				}
-				if slot != link {
-					t.Fatalf("%v: Neighbor(%d, %d) slot %d != sender link", s, rank, link, slot)
-				}
-				if nb, legal := s.Step(rank, link/2, dirOf(link)); !legal || nb != recv {
-					t.Fatalf("%v: Neighbor(%d, %d) = %d but Step says (%d, %t)", s, rank, link, recv, nb, legal)
+				recv, ok := m.Neighbor(rank, link)
+				nb, legal := s.Step(rank, link/2, dirOf(link))
+				if ok != legal || (ok && nb != recv) {
+					t.Fatalf("%v: Neighbor(%d, %d) = (%d, %t) but Step says (%d, %t)", s, rank, link, recv, ok, nb, legal)
 				}
 			}
 		}
@@ -174,7 +151,7 @@ func TestCliqueLinkTo(t *testing.T) {
 				continue
 			}
 			l := c.LinkTo(r, d)
-			recv, _, ok := c.Neighbor(r, l)
+			recv, ok := c.Neighbor(r, l)
 			if !ok || recv != d {
 				t.Fatalf("LinkTo(%d, %d) = %d reaches (%d, %t)", r, d, l, recv, ok)
 			}
@@ -266,11 +243,12 @@ func TestStrings(t *testing.T) {
 func ExampleClique_Neighbor() {
 	c := NewClique(4)
 	for l := 0; l < c.Links(); l++ {
-		recv, slot, _ := c.Neighbor(2, l)
-		fmt.Printf("link %d -> rank %d (slot %d)\n", l, recv, slot)
+		recv, _ := c.Neighbor(2, l)
+		_, back, _ := c.Reverse(2, l)
+		fmt.Printf("link %d -> rank %d (back-link %d)\n", l, recv, back)
 	}
 	// Output:
-	// link 0 -> rank 0 (slot 1)
-	// link 1 -> rank 1 (slot 1)
-	// link 2 -> rank 3 (slot 2)
+	// link 0 -> rank 0 (back-link 1)
+	// link 1 -> rank 1 (back-link 1)
+	// link 2 -> rank 3 (back-link 2)
 }

@@ -15,10 +15,7 @@ import (
 //
 // Link ids are grid's encoding dim*2 + dirBit (engine.LinkFor): the
 // window width is 2d everywhere, with boundary links of a mesh carrying
-// no edge. The slot of an edge is the sender's own link id — the
-// receiver can always reconstruct the sender from the slot's dimension
-// and direction, and on a side-2 torus the two directed edges of a
-// dimension land in the two distinct slots of that dimension.
+// no edge.
 type Mesh struct {
 	shape grid.Shape
 	n     int
@@ -91,8 +88,8 @@ func (m *Mesh) coord(rank, dim int) int {
 	return (rank / m.divs[dim]) % m.shape.Side
 }
 
-// Neighbor implements Topology. The slot is the sender's link id.
-func (m *Mesh) Neighbor(rank, link int) (recv, slot int, ok bool) {
+// Neighbor implements Topology.
+func (m *Mesh) Neighbor(rank, link int) (recv int, ok bool) {
 	dim := link >> 1
 	div := m.divs[dim]
 	side := m.shape.Side
@@ -100,39 +97,19 @@ func (m *Mesh) Neighbor(rank, link int) (recv, slot int, ok bool) {
 	if link&1 == 1 { // +1 direction
 		switch {
 		case c < side-1:
-			return rank + div, link, true
+			return rank + div, true
 		case m.shape.Torus:
-			return rank - (side-1)*div, link, true
+			return rank - (side-1)*div, true
 		}
-		return 0, 0, false
+		return 0, false
 	}
 	switch {
 	case c > 0:
-		return rank - div, link, true
+		return rank - div, true
 	case m.shape.Torus:
-		return rank + (side-1)*div, link, true
+		return rank + (side-1)*div, true
 	}
-	return 0, 0, false
-}
-
-// SlotSender implements Topology: the sender sits one hop against the
-// slot's direction (with torus wrap), and the sender's link id is the
-// slot itself.
-func (m *Mesh) SlotSender(recv, slot int) (sender, senderLink int) {
-	dim := slot >> 1
-	div := m.divs[dim]
-	side := m.shape.Side
-	c := m.coord(recv, dim)
-	if slot&1 == 1 { // delivered on +1: sender one hop below
-		if c > 0 {
-			return recv - div, slot
-		}
-		return recv + (side-1)*div, slot
-	}
-	if c < side-1 {
-		return recv + div, slot
-	}
-	return recv - (side-1)*div, slot
+	return 0, false
 }
 
 // Reverse implements Topology: the opposite direction of the same
@@ -140,7 +117,7 @@ func (m *Mesh) SlotSender(recv, slot int) (sender, senderLink int) {
 // the -1 edge of the other, keeping the two physical edges of the
 // doubled ring distinct (matching the engine's fault-plan enumeration).
 func (m *Mesh) Reverse(rank, link int) (recv, backLink int, ok bool) {
-	recv, _, ok = m.Neighbor(rank, link)
+	recv, ok = m.Neighbor(rank, link)
 	if !ok {
 		return 0, 0, false
 	}

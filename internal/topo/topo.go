@@ -1,7 +1,7 @@
 // Package topo defines the pluggable topology layer of the routing
 // engine: the graph a network simulates, expressed in the terms the
-// engine's data plane needs — uniform link-id windows, receiver-side
-// edge slots, distances — rather than as an adjacency list.
+// engine's data plane needs — uniform link-id windows and distances —
+// rather than as an adjacency list.
 //
 // The engine (internal/engine) owns the packets and the step loop; a
 // Topology owns the graph. Mesh is the precomputed-stride mesh/torus of
@@ -28,14 +28,6 @@ import "meshsort/internal/grid"
 // policy error — so Links() must be the maximum over ranks of the
 // per-rank degree, and no larger than necessary.
 //
-// Slots. Neighbor also returns the receiver-side slot the edge delivers
-// into: slot s of rank r is reached by exactly one directed edge, so
-// (recv, slot) names an edge from the receiver's side, for bookkeeping
-// indexed by receiver. Slots live in [0, Links()) and their meaning is
-// otherwise topology-private; SlotSender is the inverse. The engine's
-// step kernel forwards packets straight onto receiver queues and does
-// not use slots.
-//
 // Distances. Dist is the shortest-path hop count; the engine uses it for
 // activation budgets, monotonicity checking, and watchdog defaults, so
 // it must be exact. Diameter is max Dist over pairs.
@@ -52,17 +44,9 @@ type Topology interface {
 	Degree(rank int) int
 
 	// Neighbor resolves the directed edge behind (rank, link): the
-	// neighbor it reaches and the receiver-side slot it delivers into. ok is false when the link id carries no edge at this rank
-	// (e.g. off a mesh boundary). The mapping (rank, link) -> (recv,
-	// slot) is injective over edges: no two directed edges share a
-	// (recv, slot) pair.
-	Neighbor(rank, link int) (recv, slot int, ok bool)
-
-	// SlotSender inverts Neighbor's slot mapping: given a receiver and a
-	// slot that some edge delivers into, it returns that edge's sender
-	// and the sender's link id. Behavior is undefined for slots no edge
-	// maps to.
-	SlotSender(recv, slot int) (sender, senderLink int)
+	// neighbor it reaches. ok is false when the link id carries no edge
+	// at this rank (e.g. off a mesh boundary).
+	Neighbor(rank, link int) (recv int, ok bool)
 
 	// Reverse pairs (rank, link) with the opposite directed edge of the
 	// same physical edge: the neighbor reached and the neighbor's link id
