@@ -348,7 +348,9 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 // to ~2.1M processors. Each rung routes on one warm network per
 // iteration (Reset + inject + route, the BenchmarkEngineSteadyState
 // pattern), so after the first iteration `-benchmem` must report 0
-// allocs/op at every rung. Reported metrics: ns/step (wall cost of one
+// allocs/op at every rung. Routes get a GOMAXPROCS-sized pool, so -cpu 1
+// measures the one-part kernel and -cpu 2 steps split in two parts
+// (BENCH_15.json). Reported metrics: ns/step (wall cost of one
 // simulated step), sim-steps (the rung's phase length), and
 // route-steps/D (steps against the D + o(n) greedy reference; D = 3(n-1)
 // on the mesh). The two top rungs are skipped under -short — n=128
@@ -367,6 +369,8 @@ func BenchmarkLadderGreedyRoute(b *testing.B) {
 			prob := perm.Random(s, xmath.NewRNG(3))
 			pkts := make([]*engine.Packet, prob.Size())
 			var pol engine.Policy = route.NewGreedy(s)
+			pool := engine.NewPool(0) // GOMAXPROCS workers: -cpu 2 splits each step in two
+			defer pool.Close()
 			run := func() int {
 				net.Reset(s)
 				for i := range pkts {
@@ -376,7 +380,7 @@ func BenchmarkLadderGreedyRoute(b *testing.B) {
 					pkts[i] = p
 				}
 				net.Inject(pkts)
-				res, err := net.Route(pol, engine.RouteOpts{})
+				res, err := net.Route(pol, engine.RouteOpts{Pool: pool})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -552,7 +556,10 @@ func BenchmarkLadderKKSort(b *testing.B) {
 // arrivals plan in place on the reset network (the
 // TestWarmTimedRouteDoesNotAllocate pattern), so after warm-up
 // `-benchmem` must report 0 allocs/op — timed injection and latency
-// accounting ride the batch path's zero-allocation contract.
+// accounting ride the batch path's zero-allocation contract. The route
+// gets a GOMAXPROCS-sized pool like the ladders, but a trickle keeps
+// far fewer packets active than the partition threshold, so its steps
+// run as one part at any -cpu.
 func BenchmarkTimedKKRoute(b *testing.B) {
 	s := grid.New(3, 16)
 	net := engine.New(s)
@@ -572,6 +579,8 @@ func BenchmarkTimedKKRoute(b *testing.B) {
 	}
 	var hist stats.Hist
 	var pol engine.Policy = route.NewGreedy(s)
+	pool := engine.NewPool(0)
+	defer pool.Close()
 	run := func() int {
 		net.Reset(s)
 		arr.Clocks = arr.Clocks[:0]
@@ -584,7 +593,7 @@ func BenchmarkTimedKKRoute(b *testing.B) {
 		}
 		arr.Rewind()
 		hist.Reset()
-		res, err := net.Route(pol, engine.RouteOpts{Arrivals: arr, Sojourn: &hist})
+		res, err := net.Route(pol, engine.RouteOpts{Arrivals: arr, Sojourn: &hist, Pool: pool})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -135,9 +135,10 @@ type Config struct {
 	Seed uint64
 
 	// Pool optionally supplies a persistent engine worker pool that the
-	// run's local phases fan their blocks across (and that other runs may
-	// share). Routing phases run on the caller's goroutine. The caller
-	// owns its lifecycle. Nil means local phases run serially.
+	// run's local phases fan their blocks across and its routing phases
+	// split large steps across (and that other runs may share). The
+	// caller owns its lifecycle. Nil means everything runs on the
+	// caller's goroutine.
 	Pool *engine.Pool
 
 	// Runner optionally supplies a warm pipeline runner to execute on

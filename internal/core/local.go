@@ -316,9 +316,13 @@ func finalKeys(r *pipeline.Runner, b *index.Blocked, k int, out []int64) []int64
 // a round are charged together because adjacent pairs operate on
 // disjoint blocks in parallel, and the two half-rounds are pipelined in
 // the real machine. The simulator exploits the same disjointness: each
-// half-round's pairs fan across the runner's pool with a per-worker-slot
-// merge buffer, and the barrier between the halves is the real
-// dependency (an odd pair reads blocks the even half wrote).
+// half-round's pairs fan across the runner's pool, each pair gathering
+// into its own merge buffer, and the barrier between the halves is the
+// real dependency (an odd pair reads blocks the even half wrote).
+// Buffers are indexed by pair, not by worker slot: RunBlocks' work
+// stealing hands a slot a different mix of pairs every run, so a
+// per-slot buffer would keep growing whenever its slot met a larger pair
+// than before, while a pair's buffer reaches its size once.
 //
 // Step (5) of the paper's algorithms performs exactly two such
 // transposition steps; the loop iterates until sorted and counts rounds
@@ -332,13 +336,13 @@ func mergeCleanupPhase(b *index.Blocked, k int, cost CostModel, r *pipeline.Runn
 	if maxRounds == 0 {
 		maxRounds = B + 2
 	}
-	var bufs [][]int32 // per-worker-slot merge scratch, reused across pairs and rounds
+	bufs := make([][]int32, max(B-1, 0)) // per-pair merge scratch (pair i merges orders i, i+1), reused across rounds and runs
 	var mNet *engine.Net
 	mergePair := func(w, orderLo int) {
 		net := mNet
 		lo := b.BlockAtOrder(orderLo)
 		hi := b.BlockAtOrder(orderLo + 1)
-		buf := gatherBlock(net, b, lo, bufs[w][:0])
+		buf := gatherBlock(net, b, lo, bufs[orderLo][:0])
 		buf = gatherBlock(net, b, hi, buf)
 		sortHeld(net, r.WorkerSorter(w), buf)
 		// The lower block takes exactly its capacity kV (or everything,
@@ -353,7 +357,7 @@ func mergeCleanupPhase(b *index.Blocked, k int, cost CostModel, r *pipeline.Runn
 		}
 		scatterBlock(net, b, lo, buf[:mid])
 		scatterBlock(net, b, hi, buf[mid:])
-		bufs[w] = buf
+		bufs[orderLo] = buf
 	}
 	evenHalf := func(w, i int) { mergePair(w, 2*i) }
 	oddHalf := func(w, i int) { mergePair(w, 2*i+1) }
@@ -362,11 +366,6 @@ func mergeCleanupPhase(b *index.Blocked, k int, cost CostModel, r *pipeline.Runn
 		if scan.isSorted() {
 			*sorted = true
 			return 0, true, nil
-		}
-		if w := r.BlockWorkers(); len(bufs) < w {
-			nb := make([][]int32, w)
-			copy(nb, bufs)
-			bufs = nb
 		}
 		mNet = net
 		r.RunBlocks(B/2, evenHalf)

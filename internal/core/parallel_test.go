@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"meshsort/internal/engine"
@@ -121,5 +122,53 @@ func TestWarmSimpleSortDoesNotAllocate(t *testing.T) {
 				t.Fatalf("warm SimpleSort allocated %.1f times per run, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestWarmSimpleSortDoesNotAllocateInParallel holds the same contract
+// where testing.AllocsPerRun cannot (it pins GOMAXPROCS to 1): at
+// GOMAXPROCS=2 a 2-worker pool runs the local phases' blocks and the
+// routing phases' partitioned steps on two goroutines at once, and 25
+// warm d=3 n=16 runs must not grow the heap by a byte, read from
+// runtime.MemStats. The merge cleanup's gather buffers are per pair for
+// this reason: per worker slot, work stealing let a slot's buffer grow
+// whenever it met a larger pair than before. Warm-up runs first settle
+// the runtime's caches of parked-goroutine wait records (see
+// engine.TestWarmPartitionedRouteDoesNotAllocate).
+func TestWarmSimpleSortDoesNotAllocateInParallel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("parallel warm-sort alloc guard skipped in -short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	shape := grid.New(3, 16)
+	keys := RandomKeys(shape, 1, 7)
+	pool := engine.NewPool(2)
+	defer pool.Close()
+	runner := pipeline.New(pipeline.Config{Shape: shape, Pool: pool})
+	cfg := Config{Shape: shape, BlockSide: 4, Seed: 1, Pool: pool, Runner: runner}
+	run := func() {
+		res, err := SimpleSort(cfg, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Sorted {
+			t.Fatal("SimpleSort did not sort")
+		}
+	}
+	for i := 0; i < 60; i++ {
+		run()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 25
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if b, m := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs; b != 0 || m != 0 {
+		t.Fatalf("%d warm 2-worker SimpleSorts allocated %d bytes in %d objects, want 0", runs, b, m)
 	}
 }

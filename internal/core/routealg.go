@@ -31,7 +31,7 @@ type RouteConfig struct {
 	Nu   int
 	Seed uint64
 	// Pool optionally supplies a persistent engine worker pool for the
-	// runner's local phases; routing runs on the caller's goroutine.
+	// runner's local phases and its partitioned routing steps.
 	Pool *engine.Pool
 	// Runner optionally supplies a warm pipeline runner to execute on
 	// instead of building a fresh one; see core.Config.Runner.

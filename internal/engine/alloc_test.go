@@ -244,3 +244,70 @@ func TestWarmRoutesInParallelDoNotAllocate(t *testing.T) {
 			routesPerWorker*workers, workers, b, m)
 	}
 }
+
+// TestWarmPartitionedRouteDoesNotAllocate extends the GOMAXPROCS=2 guard
+// to the partitioned kernel: a warm d=3 n=16 network routes on a
+// 2-worker pool with the threshold seam lowered, so every step splits
+// into two parts on two goroutines, and the heap must not grow by a
+// single byte over 25 greedy routes. The parts, their outboxes and the
+// pool's per-step bodies are built once with the step scratch; handing a
+// method value such as pt.finish to Pool.Run instead would allocate a
+// closure per step.
+//
+// The caveats of the previous test apply, and here the pool's parked
+// hand-off cannot be avoided: its goroutines spin between steps but park
+// between routes. Warm-up routes settle the runtime's caches (see
+// below), and nothing in the measured window allocates, so no GC
+// empties them again.
+func TestWarmPartitionedRouteDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := grid.New(3, 16)
+	var pol Policy = certifiedGreedy{greedyTestPolicy{s}}
+	pool := NewPool(2)
+	defer pool.Close()
+	net := New(s)
+	net.partMin = 1
+	dsts := xmath.NewRNG(37).Perm(s.N())
+	pkts := make([]*Packet, s.N())
+	var hist stats.Hist
+	opts := RouteOpts{Pool: pool, Sojourn: &hist}
+	route := func() {
+		net.Reset(s)
+		for j := range pkts {
+			p := net.NewPacket(int64(j), j)
+			p.Dst = dsts[j]
+			p.Class = j % s.Dim
+			pkts[j] = p
+		}
+		net.Inject(pkts)
+		hist.Reset()
+		if _, err := net.Route(pol, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm-up: the first route grows the arena, queues, step scratch,
+	// outboxes and part histograms. The rest fill the runtime's wait
+	// record caches: every park takes a record from its P's cache and the
+	// wake returns it to whichever P the goroutine resumes on, so until
+	// both Ps' caches hold spares a park allocates a fresh record.
+	for i := 0; i < 200; i++ {
+		route()
+	}
+	net.Reset(s)
+	for i := 0; i < 1<<14; i++ {
+		net.Route(pol, opts) // nothing to route: just the assertions
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const routes = 25
+	for i := 0; i < routes; i++ {
+		route()
+	}
+	runtime.ReadMemStats(&after)
+	if b, m := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs; b != 0 || m != 0 {
+		t.Fatalf("%d warm partitioned routes allocated %d bytes in %d objects, want 0", routes, b, m)
+	}
+}

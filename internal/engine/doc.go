@@ -30,9 +30,9 @@
 //
 // # One step kernel
 //
-// Each simulated step is one pass of a single kernel (stepState.step)
-// over the processors holding moving packets, in ascending rank order,
-// on the goroutine that called Route. At each processor, every packet
+// Each simulated step is one pass of a single kernel (part.pass) over
+// the processors holding moving packets, in ascending rank order. At
+// each processor, every packet
 // that was moving when the step began requests the link the Policy
 // names (the answer is cached in the queue entry — see Policy purity
 // below); each link is granted to the highest-priority requester
@@ -46,8 +46,9 @@
 // the queue its processor held when the step began. Contests are
 // decided by a strict total order, so the outcome does not depend on
 // the pass order. Route returns the same results and placements on
-// every run, and FuzzEngineMatchesReference holds the kernel to a
-// naive map-and-sort simulator of the model (reference_test.go).
+// every run and at every part count (below), and
+// FuzzEngineMatchesReference holds the kernel to a naive map-and-sort
+// simulator of the model (reference_test.go) at 1, 2 and 3 parts.
 //
 // Every mode runs through the same kernel. Fault checks, patience
 // stranding and load counting are per-processor passes guarded by flags
@@ -73,13 +74,32 @@
 // ends, and receivers above their sender are sampled for the occupancy
 // high-water mark by an end-of-step sweep over a third.
 //
-// Route takes no worker pool. Splitting one step across workers was
-// measured slower at every rung on 2 real cores (a send/deliver split
-// pays an extra inbox round-trip per hop; see EXPERIMENTS.md), so
-// parallelism lives across networks instead: the service runs one
-// network per runner, and independent networks may route concurrently,
-// sharing policies and fault plans. The Pool type serves the local
-// phases of a run (pipeline.Runner.RunBlocks), not routing.
+// # Partitioned steps
+//
+// Because a processor's moves depend only on its own queue at the start
+// of the step, a step is parallel by processor. With a multi-worker
+// RouteOpts.Pool (pipeline.Runner passes the pool it holds for local
+// phases), Route splits the rank space into one contiguous part per
+// worker, aligned to 64-rank bitmap words and capped by the word count.
+// Each part runs the same kernel over its own words, owning those words
+// of every bitmap and its processors' queues. A winner whose receiver
+// lies in its own part is pushed directly, as in a one-part pass; one
+// bound for another part goes to that part's outbox. After the pass
+// barrier each part files what it was sent, merges its deferred
+// activations and samples its receivers' occupancy; counters, strands,
+// the lowest-rank error and per-part sojourn histograms are then merged
+// on the caller. Filing puts a lower part's entries in front of the
+// step's own appends (per-processor step stamps mark where those
+// begin), so every queue and held list comes out in exactly the order a
+// one-part pass produces: later phases that read held order — a block's
+// shearsort counts its rounds from it — see no difference.
+//
+// A step runs as one part on the caller's goroutine when the pool has at
+// most one worker or fewer than partMinActive packets are active at step
+// start, where the pool's two barrier crossings per step would cost more
+// than the split saves (EXPERIMENTS.md, "Partitioned step kernel").
+// Independent networks may still route concurrently, sharing policies
+// and fault plans; the service runs one network per runner.
 //
 // # Exact vs. sampled statistics
 //
@@ -91,9 +111,10 @@
 // the step is final captures the true high-water mark. Link-load
 // counters (SetCountLoads) are exact per traversal but cover only the
 // phases routed while counting was enabled. The wall-clock throughput
-// counters (Elapsed, WorkerBusy, and the derived
-// StepsPerSec/WorkerUtilization) measure the host machine, vary run to
-// run, and are excluded from the determinism guarantee.
+// counters (Elapsed, WorkerBusy — kernel time, averaged over the parts
+// of partitioned steps — and the derived StepsPerSec/WorkerUtilization)
+// measure the host machine, vary run to run, and are excluded from the
+// determinism guarantee.
 //
 // # Policy purity
 //

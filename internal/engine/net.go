@@ -167,11 +167,22 @@ type proc struct {
 	// touches a single cache line. See stepState.step.
 	fresh uint64
 
-	// The struct is padded to exactly one cache line: the step loop
-	// touches one random proc per hop (the receiver), and a 64-byte
-	// stride keeps that touch to a single line.
-	_ [64 - 2*unsafe.Sizeof([]int{}) - 8]byte
+	// heldAt is the same stamp for the held list: when its high half
+	// equals the current clock, held[heldAt&0xffffffff:] was appended
+	// during the current step. A partitioned step needs it to file the
+	// deliveries a lower part sent here in front of this step's
+	// own-part appends, which keeps every held list in the order a
+	// one-part step produces (see part.finish).
+	heldAt uint64
 }
+
+// A proc is exactly one cache line (both constants fail to compile
+// otherwise): the step loop touches one random proc per hop (the
+// receiver), and a 64-byte stride keeps that touch to a single line.
+const (
+	_ uintptr = 64 - unsafe.Sizeof(proc{})
+	_ uintptr = unsafe.Sizeof(proc{}) - 64
+)
 
 // Initial per-processor queue capacities carved from the rank-ordered
 // slabs of buildProcs, and the network size cap above which the carve is
@@ -237,6 +248,12 @@ type Net struct {
 	loads []int64 // rank*2d + link -> traversals; nil when counting is off
 
 	scratch *stepState // reusable per-phase routing state (lazily built, survives phases and Reset)
+
+	// partMin, when positive, replaces partMinActive as the active-packet
+	// count from which steps run partitioned. Tests lower it so that
+	// small networks exercise the partitioned kernel; set it before the
+	// first Route.
+	partMin int
 }
 
 // CheckCapacity reports whether a shape is well-formed (see
@@ -720,6 +737,12 @@ type RouteOpts struct {
 	// latency is therefore bounded by one simulated step. Typically wired
 	// to a context.Context's Done channel by the service layer.
 	Cancel <-chan struct{}
+
+	// Pool, if it has more than one worker, splits each step across its
+	// workers by rank range (see Route); pipeline.Runner passes the pool
+	// it already holds for local phases. nil runs every step on the
+	// caller's goroutine. Results are identical either way.
+	Pool *Pool
 }
 
 // RouteResult reports the outcome of a routing phase.
@@ -758,8 +781,13 @@ type RouteResult struct {
 
 	// Engine throughput counters (wall-clock, not simulated time; they
 	// vary run to run and are excluded from determinism guarantees).
-	Elapsed    time.Duration // wall-clock duration of the step loop
-	WorkerBusy time.Duration // time spent inside the step kernel (Route runs on its caller's goroutine)
+	Elapsed time.Duration // wall-clock duration of the step loop
+	// WorkerBusy is the time spent inside the step kernel, averaged over
+	// the parts of each step: a one-part step adds its kernel time, a
+	// partitioned step the mean of its parts' pass-and-finish times. The
+	// gap to Elapsed is therefore per-step bookkeeping plus, on
+	// partitioned steps, part imbalance and barrier wait.
+	WorkerBusy time.Duration
 }
 
 // AvgOvershoot returns the mean overshoot per delivered packet.
@@ -789,9 +817,10 @@ func (r RouteResult) PacketsPerStep() float64 {
 }
 
 // WorkerUtilization returns the fraction of the phase's wall time spent
-// inside the step kernel: WorkerBusy / Elapsed. Low
-// values mean the phase was dominated by per-step bookkeeping (arrivals,
-// stranding merges, watchdog, OnStep) rather than packet movement.
+// inside the step kernel: WorkerBusy / Elapsed. Low values mean the phase
+// was dominated by per-step bookkeeping (arrivals, stranding merges,
+// watchdog, OnStep) or, on partitioned steps, by parts waiting at the
+// barrier for the slowest one, rather than by packet movement.
 func (r RouteResult) WorkerUtilization() float64 {
 	if r.Elapsed <= 0 {
 		return 0
@@ -822,15 +851,20 @@ func (r RouteResult) Throughput() Throughput {
 // until every one of them is delivered or stranded. It returns the phase
 // statistics.
 //
-// The step loop runs on the caller's goroutine and allocates nothing in
-// steady state: the per-phase scratch (activity bitmaps, stranding list)
-// is cached on the network and reused across phases and Resets, queues
-// keep their learned capacities, and all packet references are arena
-// indices. Heap allocations occur only on the first phase of a network's
-// life (or after a shape-changing Reset) and on degradation paths
-// (stranding diagnostics, abort snapshots). Parallelism lives above the
-// engine: independent networks may route concurrently on different
-// goroutines, sharing policies and fault plans.
+// The step loop runs on the caller's goroutine. With a multi-worker
+// opts.Pool, a step whose active packet count reaches partMinActive is
+// split across the pool by rank range (see part); smaller steps, and
+// every step without such a pool, run as one part on the caller's
+// goroutine. Both run the same kernel and give identical results, queue
+// orders included. The step loop allocates nothing in steady state: the
+// per-phase scratch (activity bitmaps, parts and their outboxes,
+// stranding lists) is cached on the network and reused across phases
+// and Resets, queues keep their learned capacities, and all packet
+// references are arena indices. Heap allocations occur only on the first
+// phase of a network's life (or after a shape-changing Reset or a change
+// of pool size) and on degradation paths (stranding diagnostics, abort
+// snapshots). Independent networks may also route concurrently on
+// different goroutines, sharing policies and fault plans.
 //
 // Route never panics on policy misbehavior: boundary violations,
 // monotonicity violations, and panics raised inside NextLink are all
@@ -847,8 +881,8 @@ func (r RouteResult) Throughput() Throughput {
 func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 	var res RouteResult
 	st := n.scratch
-	if st == nil {
-		st = newStepState(n)
+	if parts := n.partsFor(opts.Pool); st == nil || len(st.parts) != parts {
+		st = newStepState(n, parts)
 		n.scratch = st
 	}
 	st.begin(policy, opts)
@@ -879,7 +913,7 @@ func (n *Net) Route(policy Policy, opts RouteOpts) (RouteResult, error) {
 		// The eligibility stamps compare against the clock, which restarts
 		// between problems — wipe them so a stale stamp cannot alias a
 		// future step of a fresh clock.
-		pr.fresh = 0
+		pr.fresh, pr.heldAt = 0, 0
 		// Entries that survived a degraded abort (or a cancel) keep routing
 		// this phase, but their cached links were resolved by the previous
 		// phase's policy — invalidate them, and count them as active so the
@@ -1023,7 +1057,7 @@ steps:
 		n.clock++
 		res.Steps++
 		var c stepCounts
-		if c, err = st.runStep(); err != nil {
+		if c, err = st.runStep(active); err != nil {
 			break
 		}
 		active -= c.delivered
@@ -1065,6 +1099,7 @@ steps:
 	res.Elapsed = time.Since(start)
 	res.WorkerBusy = time.Duration(st.busy)
 	if opts.Sojourn != nil {
+		st.mergeSojourn()
 		res.Sojourn = opts.Sojourn.Summary()
 	}
 	// Raised on every exit, aborted phases included: their high-water
@@ -1088,10 +1123,11 @@ func (st *stepState) abort(res *RouteResult, undelivered int, reason string) err
 }
 
 // stepState carries the reusable per-phase scratch of the step loop:
-// the activity bitmaps, the phase's routing configuration, and the
-// stranding list. One instance is cached on the Net and survives phases,
-// pipeline runs, and same-layout Resets; begin re-arms it per phase
-// without allocating.
+// the activity bitmaps, the phase's routing configuration, the parts a
+// step runs as, and the stranding list. One instance is cached on the
+// Net and survives phases, pipeline runs, and same-layout Resets; begin
+// re-arms it per phase without allocating. A change of pool size
+// rebuilds it (see Net.partsFor).
 type stepState struct {
 	net    *Net
 	policy Policy
@@ -1101,8 +1137,10 @@ type stepState struct {
 	patience int  // 0 = stranding disabled
 	detour   bool // policy opted into non-monotone accounting
 
-	// sojourn is RouteOpts.Sojourn: the kernel observes each delivery's
-	// sojourn time straight into the caller's accumulator (nil = off).
+	// sojourn is RouteOpts.Sojourn, the caller's accumulator (nil = off).
+	// The one-part layout and the first part observe into it directly;
+	// the other parts observe into their own Hist, merged in at the end
+	// of the phase (mergeSojourn).
 	sojourn *stats.Hist
 
 	// dirty marks bookkeeping that may have survived an abnormal end of
@@ -1110,11 +1148,21 @@ type stepState struct {
 	// it all.
 	dirty bool
 
-	// The engine's own validity checks (boundary, monotonicity, link
-	// range) record errors here instead of panicking and finish the step;
-	// the lowest-rank error wins.
-	err     error
-	errRank int
+	// solo is the one-part layout: every bitmap word, run on the caller's
+	// goroutine. parts is the partitioned layout, one part per pool
+	// worker (capped by the word count); it holds solo alone when there
+	// is no multi-worker pool. pool runs the partitioned layout; passFn
+	// and finFn are its two per-step bodies, built once so that handing
+	// them to Pool.Run allocates nothing.
+	solo          *part
+	soloSet       []*part // just solo, for gather
+	parts         []*part
+	pool          *Pool
+	passFn, finFn func(w int)
+
+	// minActive is the active-packet count from which a step runs
+	// partitioned: partMinActive, or Net.partMin when a test lowers it.
+	minActive int
 
 	// movingBits marks, per processor, a non-empty moving queue: bit r
 	// set means processor r has packets in transit. The kernel jumps
@@ -1166,8 +1214,8 @@ type stepState struct {
 	sideMask int
 	pow2     bool
 
-	strand []PacketDiag // packets stranded this step
-	busy   int64        // nanoseconds spent in the kernel this phase
+	strand []PacketDiag // packets stranded this step, gathered from the parts
+	busy   int64        // nanoseconds spent in the kernel this phase, averaged over parts
 }
 
 // stepCounts are the per-step statistics the kernel hands back to Route.
@@ -1175,13 +1223,63 @@ type stepCounts struct {
 	delivered, hops, togoDrop, sumOver, maxOver, maxQueue int
 }
 
-func newStepState(n *Net) *stepState {
+// partMinActive is the number of active packets at step start from
+// which a step is split across the pool. Below it the split saves less
+// than the pool's two barrier crossings and the parts' slower concurrent
+// memory access cost. On a 2-core box, 2-worker routes of 512-2048
+// packets on the d=3 n=16 mesh ran 11-51% slower with every step split,
+// routes of 4096 and more on n=16 and n=32 ran 13-34% faster, and a
+// 2-worker n=16/32 SimpleSort was fastest with the split starting at
+// 2048 (EXPERIMENTS.md, "Partitioned step kernel").
+const partMinActive = 2048
+
+// partsFor returns the number of parts a step on this network splits
+// into under the given pool: one per worker, capped by the number of
+// 64-rank bitmap words (a part owns whole words).
+func (n *Net) partsFor(pool *Pool) int {
+	if pool == nil {
+		return 1
+	}
+	return max(1, min(pool.Workers(), (len(n.procs)+63)/64))
+}
+
+func newStepState(n *Net, parts int) *stepState {
 	words := (len(n.procs) + 63) / 64
 	st := &stepState{
 		net:        n,
 		movingBits: make([]uint64, words),
 		freshBits:  make([]uint64, words),
 		recvBits:   make([]uint64, words),
+		minActive:  partMinActive,
+	}
+	if n.partMin > 0 {
+		st.minActive = n.partMin
+	}
+	st.solo = &part{st: st, lo: 0, hi: words}
+	st.soloSet = []*part{st.solo}
+	st.parts = st.soloSet
+	if parts > 1 {
+		st.parts = make([]*part, parts)
+		for q := range st.parts {
+			st.parts[q] = &part{
+				st: st, idx: q, lo: q * words / parts, hi: (q + 1) * words / parts,
+				out: make([][]xfer, parts), set: st.parts,
+			}
+		}
+		st.passFn = func(w int) {
+			if w < len(st.parts) {
+				t0 := time.Now()
+				st.parts[w].pass()
+				st.parts[w].busy = time.Since(t0).Nanoseconds()
+			}
+		}
+		st.finFn = func(w int) {
+			if w < len(st.parts) {
+				t0 := time.Now()
+				st.parts[w].finish()
+				st.parts[w].busy += time.Since(t0).Nanoseconds()
+			}
+		}
 	}
 	if _, isMesh := topo.MeshShape(n.Topo); isMesh {
 		st.mesh = true
@@ -1249,15 +1347,45 @@ func (st *stepState) begin(policy Policy, opts RouteOpts) {
 		st.patience = 0 // disabled
 	}
 	st.sojourn = opts.Sojourn
-	st.err = nil
-	st.errRank = 0
+	st.pool = opts.Pool
+	for _, pt := range st.parts {
+		pt.sojourn = st.sojourn
+		if pt.idx > 0 && st.sojourn != nil {
+			if pt.hist == nil {
+				pt.hist = new(stats.Hist)
+			}
+			pt.sojourn = pt.hist
+		}
+	}
+	st.solo.sojourn = st.sojourn
 	st.busy = 0
 	if st.dirty {
 		clear(st.freshBits)
 		clear(st.recvBits)
+		for _, pt := range st.parts {
+			for q := range pt.out {
+				pt.out[q] = pt.out[q][:0]
+			}
+			if pt.hist != nil {
+				pt.hist.Reset()
+			}
+		}
 		st.dirty = false
 	}
 	clear(st.movingBits)
+}
+
+// mergeSojourn folds the sojourn times the parts past the first
+// observed into the caller's accumulator and clears their histograms.
+// Route calls it on every exit, so a phase's deliveries are all in the
+// caller's Hist when it reads the summary.
+func (st *stepState) mergeSojourn() {
+	for _, pt := range st.parts {
+		if pt.hist != nil && pt.hist.Count() > 0 {
+			st.sojourn.Merge(pt.hist)
+			pt.hist.Reset()
+		}
+	}
 }
 
 // arm turns packet id, at rest at rank r away from its destination, into
@@ -1281,35 +1409,75 @@ func (st *stepState) arm(r int, id int32, p *Packet) int32 {
 	return togo
 }
 
-// runStep advances the simulation by one synchronous step (see step).
-// Errors the kernel recorded (boundary, monotonicity, or link-range
-// violations) and panics that escape the policy are returned, never
-// propagated as panics. Recorded errors leave the network conserved (the
-// kernel finishes the step before the error is read); a policy panic
-// abandons the rest of the step, so the network state is unusable
-// afterwards — but the process survives.
-func (st *stepState) runStep() (c stepCounts, err error) {
+// runStep advances the simulation by one synchronous step (see
+// part.pass), given the number of packets active at its start: as one
+// part on the caller's goroutine, or, once active reaches minActive on a
+// multi-part layout, as every part on the pool. Errors the kernel
+// recorded (boundary, monotonicity, or link-range violations) and panics
+// that escape the policy are returned, never propagated as panics (the
+// pool re-raises a worker's panic on the caller, where it is recovered
+// here). Recorded errors leave the network conserved (the kernel
+// finishes the step before the error is read); a policy panic abandons
+// the rest of the step, so the network state is unusable afterwards —
+// but the process survives.
+func (st *stepState) runStep(active int) (c stepCounts, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			st.dirty = true
 			err = fmt.Errorf("engine: routing step panicked: %v", r)
 		}
 	}()
+	parts := st.soloSet
+	if len(st.parts) > 1 && active >= st.minActive {
+		parts = st.parts
+		st.pool.Run(st.passFn)
+		st.pool.Run(st.finFn)
+	} else {
+		t0 := time.Now()
+		st.solo.pass()
+		st.solo.finish()
+		st.solo.busy = time.Since(t0).Nanoseconds()
+	}
+	return st.gather(parts)
+}
+
+// gather merges the step results of the parts that ran it: counters are
+// summed (maxima maxed), strands concatenated (Route orders them by id),
+// kernel time averaged, and the error kept is the lowest-rank one, the
+// lowest-ranked part winning ties — exactly the error a one-part pass,
+// which visits senders in ascending rank order, records first.
+func (st *stepState) gather(parts []*part) (c stepCounts, err error) {
+	var busy int64
+	errRank := 0
 	st.strand = st.strand[:0]
-	c = st.step()
-	if st.err != nil {
+	for _, pt := range parts {
+		c.delivered += pt.c.delivered
+		c.hops += pt.c.hops
+		c.togoDrop += pt.c.togoDrop
+		c.sumOver += pt.c.sumOver
+		c.maxOver = max(c.maxOver, pt.c.maxOver)
+		c.maxQueue = max(c.maxQueue, pt.c.maxQueue)
+		st.strand = append(st.strand, pt.strand...)
+		busy += pt.busy
+		if pt.err != nil && (err == nil || pt.errRank < errRank) {
+			err, errRank = pt.err, pt.errRank
+		}
+	}
+	st.busy += busy / int64(len(parts))
+
+	if err != nil {
 		st.dirty = true
 	}
-	return c, st.err
+	return c, err
 }
 
 // recordErr notes an engine-detected violation at the given rank. The
 // kernel keeps going after recording (an early exit would leave packets
-// mid-link); the lowest-rank error wins.
-func (st *stepState) recordErr(rank int, err error) {
-	if st.err == nil || rank < st.errRank {
-		st.err = err
-		st.errRank = rank
+// mid-link); within a part the first error at the lowest rank wins.
+func (pt *part) recordErr(rank int, err error) {
+	if pt.err == nil || rank < pt.errRank {
+		pt.err = err
+		pt.errRank = rank
 	}
 }
 
@@ -1417,12 +1585,65 @@ func (st *stepState) greedyNext(rank, dst, class int) int {
 	return -1
 }
 
-// step is the engine's step kernel: one synchronous step of the paper's
-// machine in a single pass over the processors with moving packets, in
-// ascending rank order. At each processor every eligible packet requests
-// a link, each link is granted to the highest-priority requester
-// (farthest to go, then lowest id — the paper's contention rule), and
-// the winners are pushed straight onto their receivers' queues.
+// part is one rank range of a step: the processors of bitmap words
+// [lo, hi). It owns those words of every bitmap and its processors'
+// queues for the whole step, so parts of one step run concurrently with
+// no locks. A winner whose receiver lies in another part is not pushed
+// but posted to out[q], the outbox of the receiving part q, which
+// drains it after the pass barrier (finish). The solo part spans every
+// word and never posts.
+type part struct {
+	st     *stepState
+	idx    int     // position in set
+	lo, hi int     // bitmap words owned
+	set    []*part // every part of the layout (nil for solo)
+	out    [][]xfer
+
+	// Step results, read by stepState.gather after the step.
+	c       stepCounts
+	strand  []PacketDiag
+	err     error
+	errRank int
+	busy    int64 // nanoseconds in pass and finish this step
+
+	// sojourn is where this part's deliveries are observed: the
+	// caller's Hist for solo and the first part, hist for the others.
+	sojourn *stats.Hist
+	hist    *stats.Hist
+
+	// Parts are written by different workers: keep their hot fields on
+	// separate cache lines.
+	_ [64]byte
+}
+
+// xfer is a winner crossing into another part: its receiver and its
+// queue entry as the receiver files it (togo and link already advanced).
+type xfer struct {
+	recv int32
+	e    pktRef
+}
+
+// post files a cross-part winner in the outbox of the part that owns
+// its receiver. Parts split the words evenly (part q starts at word
+// q*W/P), so the owner of word w is the largest q with q*W/P <= w. It
+// is kept out of line: inlined, its append would crowd the hop loop's
+// registers on the one-part path, which never posts.
+//
+//go:noinline
+func (pt *part) post(recv int, e pktRef) {
+	words, parts := len(pt.st.movingBits), len(pt.set)
+	q := ((recv>>6+1)*parts - 1) / words
+	pt.out[q] = append(pt.out[q], xfer{int32(recv), e})
+}
+
+// pass is the engine's step kernel: one synchronous step of the paper's
+// machine in a single pass over the part's processors with moving
+// packets, in ascending rank order. At each processor every eligible
+// packet requests a link, each link is granted to the highest-priority
+// requester (farthest to go, then lowest id — the paper's contention
+// rule), and the winners are pushed straight onto their receivers'
+// queues — or, when the receiver belongs to another part, posted to that
+// part's outbox.
 //
 // Synchronous-step semantics are kept by the per-processor eligibility
 // watermark proc.fresh: entries pushed during the current step sit above
@@ -1430,20 +1651,22 @@ func (st *stepState) greedyNext(rank, dst, class int) int {
 // queue the processor held when the step began, and no packet moves
 // twice in one step. Every step outcome is order-independent — the
 // contest is decided by the strict (togo, id) order and each processor's
-// contest reads only its own step-start entries — so the pass order
-// affects nothing but the order of entries within a queue.
+// contest reads only its own step-start entries. Pass order decides
+// only the order of entries within a queue, and finish restores the
+// one-part order for posted entries, so held lists come out identical
+// at every part count.
 //
 // The kernel covers every mode without slowing the plain mesh-greedy
 // hop: patience stranding (spendPatience, over the eligible prefix —
 // exactly the packets that could have moved), fault plans (liveGrants:
 // a link down at grant time forwards nothing) and link-load counting
 // (countLoads) run once per processor behind flags tested outside the
-// hop loop; detouring policies (togo recomputed instead of decremented)
-// and non-mesh topologies (receivers via Topo.Neighbor) cost one
-// predictable branch per hop; topologies wider than 64 links run the
-// contest once per 64-link window.
-func (st *stepState) step() stepCounts {
-	t0 := time.Now()
+// hop loop; detouring policies (togo recomputed instead of decremented),
+// non-mesh topologies (receivers via Topo.Neighbor) and the part-owns-
+// receiver test cost one predictable branch per hop each; topologies
+// wider than 64 links run the contest once per 64-link window.
+func (pt *part) pass() {
+	st := pt.st
 	n := st.net
 	mb, nb, rb := st.movingBits, st.freshBits, st.recvBits
 	clk := uint64(n.clock)
@@ -1459,6 +1682,12 @@ func (st *stepState) step() stepCounts {
 	side := n.Shape.Side
 	torus := n.Shape.Torus
 	mesh, greedy, detour := st.mesh, st.greedy, st.detour
+	sojourn := pt.sojourn
+	// The part's rank range: a receiver r is its own when
+	// uint(r-rlo) < span.
+	rlo, span := pt.lo<<6, uint((pt.hi-pt.lo)<<6)
+	pt.strand = pt.strand[:0]
+	pt.err = nil
 	// Transit-path counters live in locals for the duration of the step
 	// (one flush at the end). Every hop lowers the remaining-distance
 	// total by one except a detour's; extraDrop holds the difference.
@@ -1468,15 +1697,15 @@ func (st *stepState) step() stepCounts {
 	// gates which entries of outQ are live, so the table needs no
 	// clearing between windows or processors.
 	var outQ [64]int32
-	for wi := range mb {
-		// Snapshot the word: emptied senders clear their bits in mb[wi] as
-		// the pass strips bits off this working copy. (Same-step
+	for i, word := range mb[pt.lo:pt.hi] {
+		// word is a snapshot: emptied senders clear their bits in mb[wi]
+		// as the pass strips bits off this working copy. (Same-step
 		// activations never touch mb — they park in freshBits and merge
 		// after the pass.)
-		word := mb[wi]
 		if word == 0 {
 			continue
 		}
+		wi := pt.lo + i
 		wbase := wi << 6
 		for ; word != 0; word &= word - 1 {
 			r := wbase + bits.TrailingZeros64(word)
@@ -1516,7 +1745,7 @@ func (st *stepState) step() stepCounts {
 					if l == int(linkUnknown) {
 						l = st.nextLink(r, int(e.dst), int(e.class))
 						if l >= links {
-							st.recordErr(r, fmt.Errorf("engine: policy returned invalid link %d for packet %d at rank %d", l, e.id, r))
+							pt.recordErr(r, fmt.Errorf("engine: policy returned invalid link %d for packet %d at rank %d", l, e.id, r))
 							e.link = -1
 							continue
 						}
@@ -1581,14 +1810,14 @@ func (st *stepState) step() stepCounts {
 							// Leave the packet in its queue (unconsumed): the error
 							// aborts the phase after the step with the network
 							// conserved.
-							st.recordErr(r, fmt.Errorf("engine: policy routed packet %d off the mesh boundary at rank %d link %d", e.id, r, l))
+							pt.recordErr(r, fmt.Errorf("engine: policy routed packet %d off the mesh boundary at rank %d link %d", e.id, r, l))
 							continue
 						}
 					} else {
 						var ok bool
 						recv, ok = n.Topo.Neighbor(r, l)
 						if !ok {
-							st.recordErr(r, fmt.Errorf("engine: policy routed packet %d over the edgeless link %d of rank %d on %v", e.id, l, r, n.Topo))
+							pt.recordErr(r, fmt.Errorf("engine: policy routed packet %d over the edgeless link %d of rank %d on %v", e.id, l, r, n.Topo))
 							continue
 						}
 					}
@@ -1599,11 +1828,10 @@ func (st *stepState) step() stepCounts {
 						next = int32(st.dist(recv, int(e.dst)))
 						extraDrop += int(e.togo) - int(next) - 1
 					} else if next <= 0 && int(e.dst) != recv {
-						st.recordErr(r, fmt.Errorf("engine: non-monotone policy: packet %d exhausted its distance budget away from its destination", e.id))
+						pt.recordErr(r, fmt.Errorf("engine: non-monotone policy: packet %d exhausted its distance budget away from its destination", e.id))
 					}
 					p2 := &procs[recv]
 					if next == 0 && int(e.dst) == recv {
-						p2.held = append(p2.held, e.id)
 						delivered++
 						ab := int(e.id) * auxStride
 						over := int((clk32 - aux[ab+auxBorn]) - aux[ab+auxBornD])
@@ -1611,9 +1839,21 @@ func (st *stepState) step() stepCounts {
 						if over > maxOver {
 							maxOver = over
 						}
-						if st.sojourn != nil {
-							st.sojourn.Observe(int64(clk32 - aux[ab+auxBorn]))
+						if sojourn != nil {
+							sojourn.Observe(int64(clk32 - aux[ab+auxBorn]))
 						}
+						if uint(recv-rlo) >= span {
+							// Another part's receiver: that part files the
+							// entry after the barrier.
+							pt.post(recv, pktRef{id: e.id, dst: e.dst, class: e.class, link: -1})
+							e.id = noPacket
+							moved |= 1 << uint(lw)
+							continue
+						}
+						if p2.heldAt>>32 != clk {
+							p2.heldAt = clk<<32 | uint64(len(p2.held))
+						}
+						p2.held = append(p2.held, e.id)
 					} else {
 						// Resolve the packet's next link from the receiver's
 						// position now, while its entry is warm in cache: the
@@ -1648,12 +1888,18 @@ func (st *stepState) step() stepCounts {
 						} else {
 							nl2 = st.policy.NextLink(recv, int(e.dst), int(e.class))
 							if nl2 >= links {
-								st.recordErr(recv, fmt.Errorf("engine: policy returned invalid link %d for packet %d at rank %d", nl2, e.id, recv))
+								pt.recordErr(recv, fmt.Errorf("engine: policy returned invalid link %d for packet %d at rank %d", nl2, e.id, recv))
 								nl2 = -1
 							}
 						}
 						if nl2 >= 0 {
 							nl = int16(nl2)
+						}
+						if uint(recv-rlo) >= span {
+							pt.post(recv, pktRef{id: e.id, dst: e.dst, class: e.class, togo: next, link: nl})
+							e.id = noPacket
+							moved |= 1 << uint(lw)
+							continue
 						}
 						if len(p2.moving) == 0 {
 							// Empty -> non-empty: the bit is parked in freshBits
@@ -1713,7 +1959,10 @@ func (st *stepState) step() stepCounts {
 				}
 				if expired && aux[int(e.id)*auxStride+auxStall] > int32(st.patience) {
 					n.pkt(e.id).stranded = true
-					st.strand = append(st.strand, st.diagnose(r, e))
+					pt.strand = append(pt.strand, st.diagnose(r, e))
+					if pr.heldAt>>32 != clk {
+						pr.heldAt = clk<<32 | uint64(len(pr.held))
+					}
 					pr.held = append(pr.held, e.id)
 					continue
 				}
@@ -1732,34 +1981,96 @@ func (st *stepState) step() stepCounts {
 			}
 		}
 	}
+	pt.c = stepCounts{
+		delivered: delivered, hops: hops, togoDrop: hops + extraDrop,
+		sumOver: sumOver, maxOver: maxOver, maxQueue: maxQ,
+	}
+}
+
+// finish completes the part's step after the pass barrier. It files the
+// entries other parts posted here, merges the deferred activations of
+// its words into movingBits, and samples the occupancy of its receivers.
+//
+// Posted entries are filed where a one-part pass would have put them.
+// That pass visits senders in ascending rank order, so a lower part's
+// entries belong in front of everything this part appended to the same
+// queue during the step, and a higher part's entries behind it. The
+// step stamps (proc.fresh for moving queues, proc.heldAt for held lists)
+// mark where this step's appends begin; a lower part's entry is inserted
+// there and the stamp moved past it, and a higher part's entry is
+// appended. Queues and held lists therefore come out identical at every
+// part count, which keeps the results of later phases (a block's
+// shearsort, for one, reads held order) independent of the pool.
+func (pt *part) finish() {
+	st := pt.st
+	procs := st.net.procs
+	clk := uint64(st.net.clock)
+	mb, nb, rb := st.movingBits, st.freshBits, st.recvBits
+	maxQ := pt.c.maxQueue
+	for _, src := range pt.set {
+		if src == pt {
+			continue
+		}
+		box := src.out[pt.idx]
+		lower := src.idx < pt.idx
+		for _, x := range box {
+			r := int(x.recv)
+			pr := &procs[r]
+			if x.e.togo == 0 && int(x.e.dst) == r {
+				pr.held = fileAt(pr.held, &pr.heldAt, clk, lower, x.e.id)
+			} else {
+				if len(pr.moving) == 0 {
+					mb[r>>6] |= 1 << (uint(r) & 63)
+				}
+				pr.moving = fileAt(pr.moving, &pr.fresh, clk, lower, x.e)
+			}
+			maxQ = max(maxQ, len(pr.moving)+len(pr.held))
+		}
+		src.out[pt.idx] = box[:0]
+	}
 	// Merge the deferred activations: freshBits must read all-zero again
 	// before the next step (and before the paranoid checker runs).
-	for wi, word := range nb {
+	nb, rb = nb[pt.lo:pt.hi], rb[pt.lo:pt.hi]
+	mb = mb[pt.lo:pt.hi][:len(nb)]
+	for i, word := range nb {
 		if word != 0 {
-			mb[wi] |= word
-			nb[wi] = 0
+			mb[i] |= word
+			nb[i] = 0
 		}
 	}
 	// End-of-step sweep over the receivers whose occupancy could not be
 	// sampled in place: their state is final now.
-	for wi, word := range rb {
+	for i, word := range rb {
 		if word == 0 {
 			continue
 		}
-		rb[wi] = 0
-		wbase := wi << 6
+		rb[i] = 0
+		wbase := (pt.lo + i) << 6
 		for ; word != 0; word &= word - 1 {
 			pr := &procs[wbase+bits.TrailingZeros64(word)]
-			if q := len(pr.moving) + len(pr.held); q > maxQ {
-				maxQ = q
-			}
+			maxQ = max(maxQ, len(pr.moving)+len(pr.held))
 		}
 	}
-	st.busy += time.Since(t0).Nanoseconds()
-	return stepCounts{
-		delivered: delivered, hops: hops, togoDrop: hops + extraDrop,
-		sumOver: sumOver, maxOver: maxOver, maxQueue: maxQ,
+	pt.c.maxQueue = maxQ
+}
+
+// fileAt adds v to a queue whose step stamp is *at (see proc.fresh and
+// proc.heldAt): in front of this step's appends when front is set,
+// moving the stamp past it, and at the back otherwise.
+func fileAt[T any](q []T, at *uint64, clk uint64, front bool, v T) []T {
+	if !front {
+		return append(q, v)
 	}
+	if *at>>32 != clk {
+		*at = clk<<32 | uint64(len(q))
+	}
+	i := int(*at & 0xffffffff)
+	var zero T
+	q = append(q, zero)
+	copy(q[i+1:], q[i:])
+	q[i] = v
+	*at++
+	return q
 }
 
 // diagnose captures a PacketDiag for the packet with the given queue

@@ -388,19 +388,49 @@ func sameAcrossWorkers[T any](t *testing.T, workers int, fn func() T) T {
 
 // TestRouteDeterministicAcrossWorkers is the determinism contract under
 // real parallelism: the full RouteResult (minus wall-clock fields) and
-// the final packet placement must be identical whether a network routes
-// alone or beside others on concurrent workers, on meshes and tori. Run
-// it under -race to also exercise the memory model.
+// the final packet placement, held order included, must be identical
+// whether a network routes alone or beside others on concurrent workers,
+// and whether its steps run as 1, 2 or 3 parts (threshold seam lowered,
+// so every step of the four-word side-6 networks splits), on meshes and
+// tori. Run it under -race -cpu 1,2 to also exercise the memory model.
 func TestRouteDeterministicAcrossWorkers(t *testing.T) {
-	type outcome struct {
-		res RouteResult
-		fp  string
-	}
 	shapes := []grid.Shape{grid.New(3, 6), grid.NewTorus(3, 6), grid.NewTorus(3, 2)}
-	for _, s := range shapes {
-		var pol Policy = greedyTestPolicy{s}
-		run := func() outcome {
+	var solo []routeOutcome
+	for _, parts := range []int{1, 2, 3} {
+		for i, s := range shapes {
+			got := routeAcrossWorkers(t, s, parts)
+			if parts == 1 {
+				solo = append(solo, got)
+			} else if !reflect.DeepEqual(got, solo[i]) {
+				t.Errorf("%v: %d parts diverged from one part:\n%+v\n%+v", s, parts, got, solo[i])
+			}
+		}
+	}
+}
+
+// routeOutcome is a routing phase's result (minus wall-clock fields) and
+// a fingerprint of every held list in order.
+type routeOutcome struct {
+	res RouteResult
+	fp  string
+}
+
+// routeAcrossWorkers routes one fixed permutation on s with steps split
+// into the given number of parts, alone and on concurrent workers, and
+// returns the solo outcome.
+func routeAcrossWorkers(t *testing.T, s grid.Shape, parts int) routeOutcome {
+	var pol Policy = greedyTestPolicy{s}
+	var want routeOutcome
+	for _, workers := range []int{2, 5} {
+		// One pool per concurrent network: a pool runs one Route at a time.
+		pools := make(chan *Pool, workers+1)
+		for i := 0; i < workers+1; i++ {
+			pools <- partPool(t, parts)
+		}
+		run := func() routeOutcome {
+			pool := <-pools
 			net := New(s)
+			net.partMin = 1
 			rng := xmath.NewRNG(99)
 			dsts := rng.Perm(s.N())
 			pkts := make([]*Packet, s.N())
@@ -410,7 +440,7 @@ func TestRouteDeterministicAcrossWorkers(t *testing.T) {
 				pkts[i].Class = i % s.Dim
 			}
 			net.Inject(pkts)
-			res, err := net.Route(pol, RouteOpts{})
+			res, err := net.Route(pol, RouteOpts{Pool: pool})
 			if err != nil {
 				t.Error(err)
 			}
@@ -423,12 +453,11 @@ func TestRouteDeterministicAcrossWorkers(t *testing.T) {
 				}
 				fp.WriteByte('\n')
 			}
-			return outcome{normalizeResult(res), fp.String()}
+			return routeOutcome{normalizeResult(res), fp.String()}
 		}
-		for _, workers := range []int{2, 5} {
-			sameAcrossWorkers(t, workers, run)
-		}
+		want = sameAcrossWorkers(t, workers, run)
 	}
+	return want
 }
 
 // TestMaxQueueCountsInitialOccupancy is the regression test for the

@@ -6,13 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent set of worker goroutines for a run's local
-// phases: pipeline.Runner.RunBlocks fans block-local work (sorts,
-// merges, scans) across it. Routing phases never use it — Net.Route
-// runs on its caller's goroutine, and parallelism across routing work
-// comes from independent networks (one per service runner) running
-// concurrently. Workers are launched once and synchronize with the
-// caller through a sense-reversing atomic barrier.
+// Pool is a persistent set of worker goroutines for a run's phases:
+// pipeline.Runner.RunBlocks fans block-local work (sorts, merges, scans)
+// across it, and Net.Route (RouteOpts.Pool) splits each large routing
+// step across it by rank range, two Runs per step — the pass and the
+// finish. Workers are launched once and synchronize with the caller
+// through a sense-reversing atomic barrier.
 //
 // Run publishes work by advancing an epoch counter (the barrier's
 // "sense"); workers observe the flip with a bounded spin before falling
@@ -29,7 +28,7 @@ import (
 // sequential by construction). Create one with NewPool, hand it to
 // pipeline.Config.Pool (or the Pool field of the algorithm configs), and
 // release its goroutines with Close when done. A nil *Pool means local
-// phases run serially.
+// phases and routing steps run on the caller's goroutine.
 //
 // The calling goroutine participates as worker 0, so a 1-worker pool
 // performs no atomic operations and spawns no goroutines at all.

@@ -329,7 +329,9 @@ func (p detourTestPolicy) NextLink(rank, dst, class int) int {
 // destination), and requires Net.Route's RouteResult (steps, delivered,
 // hops, overshoot, MaxQueue, stranded and stuck diagnostics, sojourn
 // summary), error, Snapshot and, when counting is on, per-link loads to
-// equal the reference's.
+// equal the reference's at every part count {1, 2, 3}: the threshold
+// seam is lowered so that every step of a multi-word network (the 3-d
+// side-6 meshes and tori, the larger cliques) runs partitioned.
 //
 //	go test -run '^$' -fuzz FuzzEngineMatchesReference -fuzztime 60s ./internal/engine
 func FuzzEngineMatchesReference(f *testing.F) {
@@ -340,18 +342,22 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		load  uint8
 		steps uint16
 	}{
-		{shape: 42, mode: 0, seed: 1, load: 90},                      // 3-d mesh, side 6
-		{shape: 31, mode: 1, seed: 2, load: 200},                     // 2-d torus, side 5, certified greedy
-		{shape: 1, mode: 0, seed: 3, load: 7},                        // 1-d torus, side 2: the double edge
-		{shape: 212, mode: 0, seed: 12, load: 255},                   // clique of 72: two link windows, loads on
-		{shape: 62, mode: 2 | 4 | 16, seed: 5, load: 60},             // faulted clique of 22, detours, arrivals
-		{shape: 30, mode: 2, seed: 9, load: 170},                     // 2-d mesh, side 5, faults: default patience strands
-		{shape: 39, mode: 2 | 8 | 16 | 32, seed: 6, load: 150},       // 2-d mesh, side 6, outages, paranoid, arrivals
-		{shape: 16, mode: 2 | 4 | 128, seed: 7, load: 120},           // 3-d torus, side 3, detours, small patience
-		{shape: 24, mode: 4 | 64, seed: 8, load: 80, steps: 1 + 4*9}, // 3-d mesh, side 4, patience off, MaxSteps abort
+		{shape: 42, mode: 0, seed: 1, load: 90},                        // 3-d mesh, side 6
+		{shape: 31, mode: 1, seed: 2, load: 200},                       // 2-d torus, side 5, certified greedy
+		{shape: 1, mode: 0, seed: 3, load: 7},                          // 1-d torus, side 2: the double edge
+		{shape: 212, mode: 0, seed: 12, load: 255},                     // clique of 72: two link windows, loads on
+		{shape: 62, mode: 2 | 4 | 16, seed: 5, load: 60},               // faulted clique of 22, detours, arrivals
+		{shape: 30, mode: 2, seed: 9, load: 170},                       // 2-d mesh, side 5, faults: default patience strands
+		{shape: 39, mode: 2 | 8 | 16 | 32, seed: 6, load: 150},         // 2-d mesh, side 6, outages, paranoid, arrivals
+		{shape: 16, mode: 2 | 4 | 128, seed: 7, load: 120},             // 3-d torus, side 3, detours, small patience
+		{shape: 24, mode: 4 | 64, seed: 8, load: 80, steps: 1 + 4*9},   // 3-d mesh, side 4, patience off, MaxSteps abort
+		{shape: 43, mode: 2 | 8 | 16, seed: 10, load: 120},             // 3-d torus, side 6: four words, outages, arrivals
+		{shape: 236, mode: 2 | 4 | 128, seed: 11, load: 140},           // faulted clique of 80: two words, detours
+		{shape: 42, mode: 1 | 64, seed: 14, load: 255, steps: 2 + 4*7}, // 3-d mesh, side 6, certified greedy, MaxSteps abort
 	} {
 		f.Add(seed.shape, seed.mode, seed.seed, seed.load, seed.steps)
 	}
+	pools := []*Pool{nil, partPool(f, 2), partPool(f, 3)}
 	// shape%3 picks mesh, torus or clique; a clique has 2 + (shape/3)%79
 	// nodes, a mesh or torus dimension 1 + (shape/3)%3 and side
 	// 2 + (shape/9)%5. mode's bits: certified greedy, faults, detours,
@@ -407,56 +413,77 @@ func FuzzEngineMatchesReference(f *testing.F) {
 			opts.Sojourn = &hist
 		}
 
-		net := NewNet(tp)
 		var loads map[[2]int]int64
 		if seed%3 == 0 {
-			net.SetCountLoads(true)
 			loads = map[[2]int]int64{}
 		}
+		type packet struct {
+			key                    int64
+			src, dst, class, stamp int
+		}
+		var pkts []packet
 		ref := map[int]*refPacket{}
-		var arr Arrivals
 		stamp := 0
 		for i := 0; i < 1+int(load)*tp.N()/85; i++ {
-			p := net.NewPacket(int64(rng.Uint64()>>1), rng.Intn(tp.N()))
-			p.Dst = rng.Intn(tp.N())
-			p.Class = rng.Intn(dim)
-			rp := &refPacket{id: p.ID, key: p.Key, src: p.Src, dst: p.Dst, class: p.Class, stamp: -1}
+			p := packet{key: int64(rng.Uint64() >> 1), src: rng.Intn(tp.N()), stamp: -1}
+			p.dst = rng.Intn(tp.N())
+			p.class = rng.Intn(dim)
 			if mode&16 != 0 && rng.Intn(3) != 0 {
 				stamp += rng.Intn(4)
-				arr.Add(int32(stamp), p)
-				rp.stamp = stamp
-			} else {
-				net.Inject([]*Packet{p})
+				p.stamp = stamp
 			}
-			ref[p.ID] = rp
+			pkts = append(pkts, p)
+			ref[i] = &refPacket{id: i, key: p.key, src: p.src, dst: p.dst, class: p.class, stamp: p.stamp}
 		}
-		if arr.Len() > 0 {
-			opts.Arrivals = &arr
-		}
-		res, err := net.Route(pol, opts)
-		got := net.Snapshot()
-
-		opts.Arrivals = nil
+		refOpts := opts
 		if opts.Sojourn != nil {
-			opts.Sojourn = &refHist
+			refOpts.Sojourn = &refHist
 		}
-		want, wantPlace, wantErr := referenceRoute(tp, pol, opts, ref, loads)
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-			t.Fatalf("%v: error %v, reference %v", tp, err, wantErr)
-		}
-		if de, ok := err.(*DegradedError); ok && !reflect.DeepEqual(de, wantErr) {
-			t.Fatalf("%v: degraded error\n%+v\nreference\n%+v", tp, de, wantErr)
-		}
-		if res = normalizeResult(res); !reflect.DeepEqual(res, want) {
-			t.Fatalf("%v: result\n%+v\nreference\n%+v", tp, res, want)
-		}
-		if !reflect.DeepEqual(got, wantPlace) {
-			t.Fatalf("%v: placement differs from the reference", tp)
-		}
-		for r := 0; loads != nil && r < tp.N(); r++ {
-			for l := 0; l < tp.Links(); l++ {
-				if got, want := net.LinkLoad(r, l), loads[[2]int{r, l}]; got != want {
-					t.Fatalf("%v: link %d of rank %d carried %d packets, reference %d", tp, l, r, got, want)
+		want, wantPlace, wantErr := referenceRoute(tp, pol, refOpts, ref, loads)
+
+		for parts, pool := range pools {
+			parts++
+			net := NewNet(tp)
+			net.partMin = 1
+			if loads != nil {
+				net.SetCountLoads(true)
+			}
+			var arr Arrivals
+			for _, pk := range pkts {
+				p := net.NewPacket(pk.key, pk.src)
+				p.Dst, p.Class = pk.dst, pk.class
+				if pk.stamp >= 0 {
+					arr.Add(int32(pk.stamp), p)
+				} else {
+					net.Inject([]*Packet{p})
+				}
+			}
+			opts := opts
+			opts.Pool = pool
+			if arr.Len() > 0 {
+				opts.Arrivals = &arr
+			}
+			hist.Reset()
+			res, err := net.Route(pol, opts)
+			got := net.Snapshot()
+
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%v, %d parts: error %v, reference %v", tp, parts, err, wantErr)
+			}
+			if de, ok := err.(*DegradedError); ok && !reflect.DeepEqual(de, wantErr) {
+				t.Fatalf("%v, %d parts: degraded error\n%+v\nreference\n%+v", tp, parts, de, wantErr)
+			}
+			if res = normalizeResult(res); !reflect.DeepEqual(res, want) {
+				t.Fatalf("%v, %d parts: result\n%+v\nreference\n%+v", tp, parts, res, want)
+			}
+			if !reflect.DeepEqual(got, wantPlace) {
+				t.Fatalf("%v, %d parts: placement differs from the reference", tp, parts)
+			}
+			for r := 0; loads != nil && r < tp.N(); r++ {
+				for l := 0; l < tp.Links(); l++ {
+					if got, want := net.LinkLoad(r, l), loads[[2]int{r, l}]; got != want {
+						t.Fatalf("%v, %d parts: link %d of rank %d carried %d packets, reference %d", tp, parts, l, r, got, want)
+					}
 				}
 			}
 		}

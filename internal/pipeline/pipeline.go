@@ -136,16 +136,19 @@ type Config struct {
 	// indirectly) require a mesh topology; generic routing phases run on
 	// any topology.
 	Topo topo.Topology
-	// Pool optionally supplies persistent workers for local phases:
-	// RunBlocks fans block work across them. Routing phases always run
-	// on the caller's goroutine. The caller owns the pool's lifecycle;
-	// nil means local phases run serially.
+	// Pool optionally supplies persistent workers: RunBlocks fans local
+	// phases' block work across them, and every Route phase hands the
+	// pool to the engine (RouteOpts.Pool), which splits large steps
+	// across it by rank range. The caller owns the pool's lifecycle; nil
+	// means local phases and routing steps run on the caller's
+	// goroutine.
 	Pool *engine.Pool
 	// Policy routes every Route phase; nil means no Route phases may run.
 	Policy engine.Policy
 	// Route carries the engine options shared by every routing phase:
 	// fault plan, patience/stranding budget, livelock watchdog, MaxSteps,
-	// paranoid checking.
+	// paranoid checking. Its Pool field is ignored: routing phases use
+	// Pool above.
 	Route engine.RouteOpts
 	// Observer, if set, receives every PhaseStat as it completes.
 	Observer Observer
@@ -419,7 +422,9 @@ func (p Route) run(r *Runner) error {
 			return fmt.Errorf("phase %s: %w", p.Name, err)
 		}
 	}
-	rr, err := r.net.Route(r.cfg.Policy, r.cfg.Route)
+	opts := r.cfg.Route
+	opts.Pool = r.cfg.Pool
+	rr, err := r.net.Route(r.cfg.Policy, opts)
 	r.last = rr
 	if err != nil {
 		return fmt.Errorf("phase %s: %w", p.Name, err)

@@ -22,8 +22,8 @@ type BatchOpts struct {
 	Seed      uint64 // seed for ClassRandom
 	MaxSteps  int    // engine safety limit; 0 for default
 	// Pool optionally supplies a persistent engine worker pool shared
-	// across problems, for the runner's local phases; routing itself runs
-	// on the caller's goroutine.
+	// across problems: the runner's local phases and the engine's
+	// partitioned routing steps run on it.
 	Pool *engine.Pool
 
 	// Faults, if non-nil, injects the plan into the phase and switches the
